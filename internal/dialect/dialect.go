@@ -17,6 +17,7 @@ package dialect
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"sqlspl/internal/core"
 	"sqlspl/internal/engine"
@@ -129,32 +130,70 @@ var warehouse = append([]string{
 	"insert_from_query", "merge_statement",
 }, coreSQL...)
 
-// Features returns the feature-instance description for a preset. The
-// returned slice is fresh; callers may extend it. Full returns every
-// feature in the model.
-func Features(name Name) ([]string, error) {
-	switch name {
-	case Minimal:
-		return dup(queryMinimal), nil
-	case TinySQL:
-		return dup(tinySQL), nil
-	case SCQL:
-		return dup(scql), nil
-	case Core:
-		return dup(coreSQL), nil
-	case Warehouse:
-		return dup(warehouse), nil
-	case Full:
-		return sql2003.MustModel().FeatureNames(), nil
+// preset is one preset dialect, resolved once per process.
+type preset struct {
+	features []string // Features' answer; callers get copies
+	sel      product.Selection
+}
+
+// presets holds every preset's feature list, configuration and catalog
+// fingerprint, computed on first use. Fingerprinting sorts and hashes
+// every feature name (hundreds for Full), so serving a preset by name
+// must not redo it per request; the table makes that a map probe. The
+// fingerprints must equal the ones the pregenerated parsers register
+// under (internal/engine/gen reads them from here), or no preset promotes.
+var presets = sync.OnceValue(func() map[Name]*preset {
+	lists := map[Name][]string{
+		Minimal:   sorted(queryMinimal),
+		TinySQL:   sorted(tinySQL),
+		SCQL:      sorted(scql),
+		Core:      sorted(coreSQL),
+		Warehouse: sorted(warehouse),
+		Full:      sql2003.MustModel().FeatureNames(),
+	}
+	out := make(map[Name]*preset, len(lists))
+	for name, feats := range lists {
+		out[name] = &preset{
+			features: feats,
+			sel:      product.NewSelection(feature.NewConfig(feats...), core.Options{Product: string(name)}),
+		}
+	}
+	return out
+})
+
+func sorted(ss []string) []string {
+	out := append([]string(nil), ss...)
+	sort.Strings(out)
+	return out
+}
+
+func lookup(name Name) (*preset, error) {
+	if p, ok := presets()[name]; ok {
+		return p, nil
 	}
 	return nil, fmt.Errorf("dialect: unknown preset %q", name)
 }
 
-func dup(ss []string) []string {
-	out := make([]string, len(ss))
-	copy(out, ss)
-	sort.Strings(out)
-	return out
+// Features returns the feature-instance description for a preset. The
+// returned slice is fresh; callers may extend it. Full returns every
+// feature in the model.
+func Features(name Name) ([]string, error) {
+	p, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return append([]string(nil), p.features...), nil
+}
+
+// Selection returns the preset's catalog selection, fingerprinted once
+// per process. Resolving it (product.Catalog.ResolveSelection) on any
+// catalog costs a map probe; the serving path resolves presets this way.
+func Selection(name Name) (product.Selection, error) {
+	p, err := lookup(name)
+	if err != nil {
+		return product.Selection{}, err
+	}
+	return p.sel, nil
 }
 
 // Build resolves the preset's parser product through the shared product
@@ -163,13 +202,8 @@ func dup(ss []string) []string {
 // same cached *core.Product. The returned product is shared and must be
 // treated as immutable; its Parser is safe for concurrent use.
 func Build(name Name) (*core.Product, error) {
-	feats, err := Features(name)
-	if err != nil {
-		return nil, err
-	}
-	return product.Default().Get(feature.NewConfig(feats...), core.Options{
-		Product: string(name),
-	})
+	p, _, err := Resolve(name)
+	return p, err
 }
 
 // Engine resolves the preset's serving engine through the shared product
@@ -182,26 +216,19 @@ func Build(name Name) (*core.Product, error) {
 // sqlspl/internal/engine/generated (the serving surface does); without
 // that import every preset resolves to its interpreted engine.
 func Engine(name Name) (engine.Engine, error) {
-	feats, err := Features(name)
-	if err != nil {
-		return nil, err
-	}
-	return product.Default().Engine(feature.NewConfig(feats...), core.Options{
-		Product: string(name),
-	})
+	_, eng, err := Resolve(name)
+	return eng, err
 }
 
 // Resolve returns the preset's product and serving engine in one catalog
 // lookup — for callers (the streaming batch path) that need the product's
 // lexer alongside the engine without a second resolution.
 func Resolve(name Name) (*core.Product, engine.Engine, error) {
-	feats, err := Features(name)
+	sel, err := Selection(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	return product.Default().Resolve(feature.NewConfig(feats...), core.Options{
-		Product: string(name),
-	})
+	return product.Default().ResolveSelection(sel)
 }
 
 // Catalog returns the catalog behind the presets — the process-wide

@@ -2,6 +2,12 @@ package dialect
 
 import (
 	"testing"
+
+	"sqlspl/internal/core"
+	"sqlspl/internal/engine"
+	_ "sqlspl/internal/engine/generated"
+	"sqlspl/internal/feature"
+	"sqlspl/internal/product"
 )
 
 func TestAllPresetsBuild(t *testing.T) {
@@ -15,6 +21,40 @@ func TestAllPresetsBuild(t *testing.T) {
 func TestUnknownPreset(t *testing.T) {
 	if _, err := Features("nope"); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestPresetSelections pins the preset table: each preset's selection
+// fingerprints exactly like the (Features, Options{Product: name}) request
+// it stands for, and a generated parser for the preset is registered under
+// that fingerprint, so presets resolved by selection still promote.
+func TestPresetSelections(t *testing.T) {
+	for _, name := range Names() {
+		feats, err := Features(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := Selection(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := product.Fingerprint(feature.NewConfig(feats...), core.Options{Product: string(name)})
+		if sel.Fingerprint() != want {
+			t.Errorf("%s: selection fingerprint %s, want %s", name, sel.Fingerprint(), want)
+		}
+		if g, ok := engine.Lookup(want); !ok || g.Preset != string(name) {
+			t.Errorf("%s: no generated parser registered under %s", name, want)
+		}
+		if sel.Config().Len() != len(feats) {
+			t.Errorf("%s: selection has %d features, Features lists %d", name, sel.Config().Len(), len(feats))
+		}
+		feats[0] = "mutated"
+		if again, _ := Features(name); again[0] == "mutated" {
+			t.Errorf("%s: Features shares the table's slice", name)
+		}
+	}
+	if _, err := Selection("nope"); err == nil {
+		t.Error("unknown preset has a selection")
 	}
 }
 

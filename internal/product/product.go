@@ -28,6 +28,16 @@
 // (counted in Stats.Promotions); otherwise the interpreted engine serves.
 // Engine returns the slot's engine; Get keeps returning the raw product
 // for callers that need the composition artifacts themselves.
+//
+// # Pre-fingerprinted selections
+//
+// Fingerprinting sorts and hashes every selected feature name, which costs
+// more than the cache probe it keys. A caller that resolves one fixed
+// selection over and over (the dialect presets, on every request) builds a
+// Selection once with NewSelection and resolves it with ResolveSelection:
+// one map probe, no copying, sorting, hashing or allocation. Get, Engine,
+// Resolve and Lookup fingerprint their (cfg, opts) arguments on every call
+// and then take the same path.
 package product
 
 import (
@@ -64,6 +74,35 @@ func Fingerprint(cfg *feature.Config, opts core.Options) string {
 		opts.Parser.DisablePrediction, opts.Parser.MaxTokens)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// Selection is a build request fingerprinted once: a feature
+// configuration, its build options and their Fingerprint. Build one with
+// NewSelection; the zero value is not usable.
+type Selection struct {
+	cfg  *feature.Config
+	opts core.Options
+	fp   string
+}
+
+// NewSelection fingerprints a build request. It clones cfg, so the
+// selection stays valid whatever the caller does with cfg afterwards.
+func NewSelection(cfg *feature.Config, opts core.Options) Selection {
+	return selection(cfg.Clone(), opts)
+}
+
+// selection fingerprints a request without cloning: the per-call wrappers
+// use it, and the catalog clones on a miss before building.
+func selection(cfg *feature.Config, opts core.Options) Selection {
+	return Selection{cfg: cfg, opts: opts, fp: Fingerprint(cfg, opts)}
+}
+
+// Config returns the selected features. The configuration is shared:
+// callers must not mutate it.
+func (s Selection) Config() *feature.Config { return s.cfg }
+
+// Fingerprint returns the selection's catalog fingerprint, computed once
+// when the selection was made.
+func (s Selection) Fingerprint() string { return s.fp }
 
 // Stats is a public point-in-time snapshot of catalog state and traffic —
 // the shape the serving layer's /metrics endpoint exposes.
@@ -152,7 +191,7 @@ func Default() *Catalog {
 // The configuration is cloned before building: callers may keep mutating
 // cfg after Get returns without corrupting the cache.
 func (c *Catalog) Get(cfg *feature.Config, opts core.Options) (*core.Product, error) {
-	e := c.resolve(cfg, opts)
+	e := c.resolve(selection(cfg, opts))
 	return e.product, e.err
 }
 
@@ -161,7 +200,7 @@ func (c *Catalog) Get(cfg *feature.Config, opts core.Options) (*core.Product, er
 // backend when one is registered for the fingerprint and current, the
 // interpreted backend otherwise.
 func (c *Catalog) Engine(cfg *feature.Config, opts core.Options) (engine.Engine, error) {
-	e := c.resolve(cfg, opts)
+	e := c.resolve(selection(cfg, opts))
 	return e.eng, e.err
 }
 
@@ -170,15 +209,20 @@ func (c *Catalog) Engine(cfg *feature.Config, opts core.Options) (engine.Engine,
 // costs, which keeps the loadgen invariant "hits+misses+shared == catalog
 // resolutions" exact for callers (like /v1/stream) that need both.
 func (c *Catalog) Resolve(cfg *feature.Config, opts core.Options) (*core.Product, engine.Engine, error) {
-	e := c.resolve(cfg, opts)
+	return c.ResolveSelection(selection(cfg, opts))
+}
+
+// ResolveSelection is Resolve for a pre-fingerprinted selection. On a
+// built slot it costs one map probe and allocates nothing.
+func (c *Catalog) ResolveSelection(sel Selection) (*core.Product, engine.Engine, error) {
+	e := c.resolve(sel)
 	return e.product, e.eng, e.err
 }
 
-// resolve is the singleflight slot lookup behind Get and Engine.
-func (c *Catalog) resolve(cfg *feature.Config, opts core.Options) *entry {
-	fp := Fingerprint(cfg, opts)
+// resolve is the singleflight slot lookup behind every counting lookup.
+func (c *Catalog) resolve(sel Selection) *entry {
 	c.mu.Lock()
-	if e, ok := c.entries[fp]; ok {
+	if e, ok := c.entries[sel.fp]; ok {
 		c.mu.Unlock()
 		select {
 		case <-e.done:
@@ -190,17 +234,17 @@ func (c *Catalog) resolve(cfg *feature.Config, opts core.Options) *entry {
 		return e
 	}
 	e := &entry{done: make(chan struct{})}
-	c.entries[fp] = e
+	c.entries[sel.fp] = e
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	e.product, e.err = core.Build(c.model, c.src, cfg.Clone(), opts)
+	e.product, e.err = core.Build(c.model, c.src, sel.cfg.Clone(), sel.opts)
 	if e.err == nil {
 		// Resolve the serving engine inside the singleflight, before the
 		// slot is published: promotion is atomic with the build, so every
 		// waiter observes the same engine decision.
 		var promoted bool
-		e.eng, promoted = engine.ForProduct(e.product, fp)
+		e.eng, promoted = engine.ForProduct(e.product, sel.fp)
 		if promoted {
 			c.promotions.Add(1)
 		}
@@ -213,17 +257,26 @@ func (c *Catalog) resolve(cfg *feature.Config, opts core.Options) *entry {
 // ok is false if the product is absent or still being built. A cached
 // build failure reports ok=false as well.
 func (c *Catalog) Lookup(cfg *feature.Config, opts core.Options) (*core.Product, bool) {
+	p, _, ok := c.LookupSelection(selection(cfg, opts))
+	return p, ok
+}
+
+// LookupSelection is Lookup for a pre-fingerprinted selection, returning
+// the slot's serving engine too. Like Lookup it never builds and moves no
+// traffic counter, so observers (GET /v1/dialects) can inspect the
+// catalog without skewing hits+misses+shared.
+func (c *Catalog) LookupSelection(sel Selection) (*core.Product, engine.Engine, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[Fingerprint(cfg, opts)]
+	e, ok := c.entries[sel.fp]
 	c.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	select {
 	case <-e.done:
-		return e.product, e.err == nil
+		return e.product, e.eng, e.err == nil
 	default:
-		return nil, false
+		return nil, nil, false
 	}
 }
 

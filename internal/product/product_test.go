@@ -195,6 +195,44 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestSelectionSharesSlot: a pre-fingerprinted selection keys the same
+// slot as its (cfg, opts) request, is immune to later mutation of the
+// caller's config, and LookupSelection reads the slot without counting.
+func TestSelectionSharesSlot(t *testing.T) {
+	cat := newTestCatalog(t)
+	cfg := feature.NewConfig(minimalFeatures...)
+	opts := core.Options{Product: "minimal"}
+	sel := NewSelection(cfg, opts)
+	cfg.Deselect("where")
+	if got, want := sel.Fingerprint(), Fingerprint(feature.NewConfig(minimalFeatures...), opts); got != want {
+		t.Fatalf("selection fingerprint %s, want %s", got, want)
+	}
+	if !sel.Config().Has("where") {
+		t.Error("selection shares the caller's config")
+	}
+	if _, _, ok := cat.LookupSelection(sel); ok {
+		t.Error("LookupSelection hit on an empty catalog")
+	}
+	p, eng, err := cat.ResolveSelection(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cat.Get(feature.NewConfig(minimalFeatures...), opts); err != nil || got != p {
+		t.Errorf("Get after ResolveSelection = %p, %v; want the same product %p", got, err, p)
+	}
+	before := cat.Stats()
+	lp, leng, ok := cat.LookupSelection(sel)
+	if !ok || lp != p || leng.Info() != eng.Info() {
+		t.Errorf("LookupSelection = %p, %+v, %v; want the resolved slot", lp, leng, ok)
+	}
+	if after := cat.Stats(); after != before {
+		t.Errorf("LookupSelection moved the counters: %+v -> %+v", before, after)
+	}
+	if before.Misses != 1 || before.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss and 1 hit", before)
+	}
+}
+
 func TestDefaultCatalogIsShared(t *testing.T) {
 	if Default() != Default() {
 		t.Error("Default returned distinct catalogs")
@@ -261,5 +299,15 @@ func TestWarmServingPathAllocationBudget(t *testing.T) {
 	})
 	if lookup > lookupBudget {
 		t.Errorf("warm catalog lookup allocates %.2f, budget %d", lookup, lookupBudget)
+	}
+
+	// A pre-fingerprinted selection skips the canonicalisation entirely.
+	sel := NewSelection(cfg, opts)
+	if resolve := testing.AllocsPerRun(200, func() {
+		if p, _, err := cat.ResolveSelection(sel); err != nil || p != warm {
+			t.Fatalf("ResolveSelection = %p, %v; want the cached product", p, err)
+		}
+	}); resolve != 0 {
+		t.Errorf("warm selection resolve allocates %.2f, budget 0", resolve)
 	}
 }

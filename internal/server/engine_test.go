@@ -82,12 +82,17 @@ func TestServesPresetsThroughGeneratedEngines(t *testing.T) {
 		}
 	}
 
-	// /v1/dialects reports the serving backend for built presets.
+	// /v1/dialects reports the serving backend for built presets, and
+	// listing resolves nothing: the catalog counters stay put.
+	stats := s.Catalog().Stats()
 	resp, err = client.Get("http://" + addr + "/v1/dialects")
 	if err != nil {
 		t.Fatal(err)
 	}
 	listing, _ := readAll(resp)
+	if after := s.Catalog().Stats(); after != stats {
+		t.Errorf("GET /v1/dialects moved the catalog stats: %+v -> %+v", stats, after)
+	}
 	var infos []DialectInfo
 	if err := json.Unmarshal([]byte(listing), &infos); err != nil {
 		t.Fatal(err)

@@ -12,11 +12,10 @@ import (
 	"sync"
 	"time"
 
-	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
-	"sqlspl/internal/feature"
 	"sqlspl/internal/product"
+	"sqlspl/internal/telemetry"
 )
 
 // errorBody is the JSON shape of non-parse failures (bad request,
@@ -46,6 +45,75 @@ func (s *Server) reject429(w http.ResponseWriter) {
 	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "server at capacity; retry"})
 }
 
+// serve is the admitted part of /v1/parse, /v1/format and /v1/batch: take
+// an admission slot (429 at capacity), count the request, resolve its
+// selection (400 on a bad one), then run work on the engine in its own
+// goroutine under the request deadline and answer with its result. The
+// engine has no preemption points, so the deadline is enforced around the
+// work, not inside it: an overrunning request gets 504 and its work is
+// abandoned to finish in the background. That goroutine owns the slot
+// from then on and frees it when work returns or panics, so abandoned
+// work still counts against MaxInFlight. A panic in work answers 500;
+// what names the work in error messages.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admitted *telemetry.Counter,
+	dialectName string, features []string, work func(ctx context.Context, eng engine.Engine) any) {
+	if !s.admit() {
+		s.reject429(w)
+		return
+	}
+	handedOff := false
+	defer func() {
+		if !handedOff {
+			s.release()
+		}
+	}()
+	admitted.Inc()
+	if s.testHookAdmitted != nil {
+		s.testHookAdmitted()
+	}
+
+	_, eng, label, err := s.resolve(dialectName, features)
+	if err != nil {
+		s.m.badRequests.Inc()
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
+	s.m.dialect(label).Inc()
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	done := make(chan any, 1)
+	handedOff = true
+	go func() {
+		var resp any
+		// A panic here would kill the whole daemon, not just the request:
+		// this goroutine is outside the serving middleware. The slot is
+		// freed before the result is handed over, so a client that has its
+		// answer always finds the slot free again.
+		defer func() {
+			if rec := recover(); rec != nil {
+				s.m.panics.Inc()
+				resp = nil
+			}
+			s.release()
+			done <- resp
+		}()
+		resp = work(ctx, eng)
+	}()
+	select {
+	case resp := <-done:
+		if resp == nil {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal error: " + what + " panicked"})
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	case <-ctx.Done():
+		s.m.timeouts.Inc()
+		writeJSON(w, http.StatusGatewayTimeout,
+			errorBody{Error: fmt.Sprintf("%s exceeded deadline %s", what, s.cfg.RequestTimeout)})
+	}
+}
+
 // handleParse serves POST /v1/parse.
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -63,70 +131,24 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown want %q (verdict|tree|ast|render|analysis)", req.Want)})
 		return
 	}
-	if !s.admit() {
-		s.reject429(w)
-		return
-	}
-	defer s.release()
-	s.m.parseReqs.Inc()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-
-	eng, label, err := s.resolve(req.Dialect, req.Features)
-	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	s.m.dialect(label).Inc()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	// The engine has no preemption points, so the deadline is enforced
-	// around the parse, not inside it: an overrunning parse is abandoned to
-	// finish in the background. Its latency is observed there, keeping the
-	// histogram an honest record of every parse attempted.
-	done := make(chan *ParseResponse, 1)
-	go func() {
-		// A panic here would kill the whole daemon, not just the request:
-		// this goroutine is outside the serving middleware. Convert it to a
-		// nil response, which the select below answers with a 500.
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.m.panics.Inc()
-				done <- nil
-			}
-		}()
+	s.serve(w, r, "parse", s.m.parseReqs, req.Dialect, req.Features, func(_ context.Context, eng engine.Engine) any {
 		if s.testHookParse != nil {
 			s.testHookParse()
 		}
+		// Latency is observed here, not in the handler, so an abandoned
+		// parse is still recorded and the histogram never undercounts.
 		start := time.Now()
 		resp := s.outcome(eng, req.SQL, req.Want)
 		s.m.latency.Observe(time.Since(start).Seconds())
 		if resp.Error != nil {
 			s.m.parseErrors.Inc()
 		}
-		done <- resp
-	}()
-	select {
-	case resp := <-done:
-		if resp == nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal error: parse panicked"})
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case <-ctx.Done():
-		s.m.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorBody{Error: fmt.Sprintf("parse exceeded deadline %s", s.cfg.RequestTimeout)})
-	}
+		return resp
+	})
 }
 
 // handleFormat serves POST /v1/format: parse under the selected product,
-// re-render through the typed AST printers (canonical or minified). It
-// follows handleParse's deadline discipline — an overrunning format is
-// abandoned to finish in the background.
+// re-render through the typed AST printers (canonical or minified).
 func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
@@ -138,54 +160,15 @@ func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
-	if !s.admit() {
-		s.reject429(w)
-		return
-	}
-	defer s.release()
-	s.m.formatReqs.Inc()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-
-	eng, label, err := s.resolve(req.Dialect, req.Features)
-	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	s.m.dialect(label).Inc()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	done := make(chan *FormatResponse, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.m.panics.Inc()
-				done <- nil
-			}
-		}()
+	s.serve(w, r, "format", s.m.formatReqs, req.Dialect, req.Features, func(_ context.Context, eng engine.Engine) any {
 		start := time.Now()
 		resp := FormatOutcome(eng, req.SQL, req.Minify)
 		s.m.latency.Observe(time.Since(start).Seconds())
 		if resp.Error != nil {
 			s.m.formatErrors.Inc()
 		}
-		done <- resp
-	}()
-	select {
-	case resp := <-done:
-		if resp == nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal error: format panicked"})
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case <-ctx.Done():
-		s.m.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorBody{Error: fmt.Sprintf("format exceeded deadline %s", s.cfg.RequestTimeout)})
-	}
+		return resp
+	})
 }
 
 // handleBatch serves POST /v1/batch: one product resolution, then the
@@ -214,36 +197,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown want %q", req.Want)})
 		return
 	}
-	if !s.admit() {
-		s.reject429(w)
-		return
-	}
-	defer s.release()
-	s.m.batchReqs.Inc()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-
-	eng, label, err := s.resolve(req.Dialect, req.Features)
-	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	s.m.dialect(label).Inc()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	done := make(chan *BatchResponse, 1)
-	go func() { done <- s.runBatch(ctx, eng, &req) }()
-	select {
-	case resp := <-done:
-		writeJSON(w, http.StatusOK, resp)
-	case <-ctx.Done():
-		s.m.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorBody{Error: fmt.Sprintf("batch exceeded deadline %s", s.cfg.RequestTimeout)})
-	}
+	s.serve(w, r, "batch", s.m.batchReqs, req.Dialect, req.Features, func(ctx context.Context, eng engine.Engine) any {
+		return s.runBatch(ctx, eng, &req)
+	})
 }
 
 // runBatch executes the worker pattern. If ctx expires mid-batch the
@@ -363,7 +319,8 @@ func orVerdict(want string) string {
 }
 
 // handleDialects serves GET /v1/dialects: the presets, their sizes, and
-// whether each is already resident in the catalog.
+// whether each is already resident in the catalog. It reads the catalog
+// without counting, so listing leaves the traffic counters untouched.
 func (s *Server) handleDialects(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
@@ -371,17 +328,14 @@ func (s *Server) handleDialects(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []DialectInfo
 	for _, name := range dialect.Names() {
-		feats, err := dialect.Features(name)
+		sel, err := dialect.Selection(name)
 		if err != nil {
 			continue
 		}
-		info := DialectInfo{Name: string(name), Features: len(feats)}
-		_, info.Built = s.cat.Lookup(feature.NewConfig(feats...), core.Options{Product: string(name)})
-		if info.Built {
-			// A cache hit: the slot's engine decision is already final.
-			if eng, err := s.cat.Engine(feature.NewConfig(feats...), core.Options{Product: string(name)}); err == nil {
-				info.Engine = string(eng.Info().Kind)
-			}
+		info := DialectInfo{Name: string(name), Features: sel.Config().Len()}
+		if _, eng, ok := s.cat.LookupSelection(sel); ok {
+			info.Built = true
+			info.Engine = string(eng.Info().Kind)
 		}
 		out = append(out, info)
 	}

@@ -66,8 +66,10 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 
 	// Product-cache counters, sampled from the catalog at scrape time. For
 	// a server with a private catalog, hits+misses+shared equals the number
-	// of catalog resolutions — one per parse/batch request — which is how
-	// the load generator cross-checks /metrics against its request count.
+	// of catalog resolutions — one per warmed preset and per admitted
+	// parse, format, batch or stream request, none for /v1/dialects — which
+	// is how the load generator cross-checks /metrics against its request
+	// count.
 	reg.CounterFunc("sqlspl_product_cache_hits_total", "catalog requests answered from cache",
 		func() uint64 { return cat.Stats().Hits })
 	reg.CounterFunc("sqlspl_product_cache_misses_total", "catalog requests that built the product",

@@ -18,8 +18,9 @@
 //     latency flat under overload.
 //   - Deadline: each admitted request runs under Config.RequestTimeout.
 //     A parse that overruns gets 504; the abandoned parse goroutine is
-//     left to finish (the engine has no preemption points) and its
-//     latency is still observed, so the histogram never undercounts.
+//     left to finish (the engine has no preemption points), keeps its
+//     admission slot until it does, and its latency is still observed,
+//     so neither admission nor the histogram undercounts.
 //   - Drain: Shutdown first fails readiness (/readyz → 503, so load
 //     balancers stop routing), then gracefully drains: in-flight requests
 //     complete, new connections are refused.
@@ -46,7 +47,6 @@ import (
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
 	"sqlspl/internal/feature"
-	"sqlspl/internal/lexer"
 	"sqlspl/internal/product"
 	"sqlspl/internal/telemetry"
 
@@ -198,7 +198,7 @@ func (s *Server) Catalog() *product.Catalog { return s.cat }
 // own listener can warm explicitly.
 func (s *Server) Warm() error {
 	for _, name := range s.cfg.Warm {
-		if _, _, err := s.resolve(string(name), nil); err != nil {
+		if _, _, _, err := s.resolve(string(name), nil); err != nil {
 			return fmt.Errorf("warm %s: %w", name, err)
 		}
 	}
@@ -259,57 +259,28 @@ func (s *Server) release() {
 	<-s.sem
 }
 
-// resolve turns a dialect name or an explicit feature selection into a
-// serving engine via the catalog: the generated backend for promoted
-// presets, the interpreted backend otherwise (explicit selections always
-// interpret — no parser is pregenerated for arbitrary configurations).
-// The label names the dialect for metrics; for explicit selections it is
-// "custom".
-func (s *Server) resolve(dialectName string, features []string) (engine.Engine, string, error) {
-	switch {
-	case dialectName != "" && len(features) > 0:
-		return nil, "", fmt.Errorf("request selects both dialect %q and an explicit feature list; choose one", dialectName)
-	case dialectName != "":
-		feats, err := dialect.Features(dialect.Name(dialectName))
-		if err != nil {
-			return nil, "", err
-		}
-		eng, err := s.cat.Engine(feature.NewConfig(feats...), core.Options{Product: dialectName})
-		return eng, dialectName, err
-	case len(features) > 0:
-		eng, err := s.cat.Engine(feature.NewConfig(features...), core.Options{Product: "custom"})
-		return eng, "custom", err
-	}
-	return nil, "", fmt.Errorf("request selects no dialect and no features")
-}
-
-// resolveStream is resolve for /v1/stream, which needs the product's lexer
-// (to drive the statement scanner) alongside the serving engine. It uses
-// the catalog's combined Resolve so the request costs exactly one
-// cache-counter bump, like every other endpoint.
-func (s *Server) resolveStream(dialectName string, features []string) (engine.Engine, *lexer.Lexer, string, error) {
-	var (
-		cfg   *feature.Config
-		opts  core.Options
-		label string
-	)
+// resolve turns a request's dialect name or explicit feature selection
+// into its catalog slot: the product, its serving engine (the generated
+// backend for promoted presets, the interpreted backend otherwise;
+// explicit selections always interpret, as no parser is pregenerated for
+// arbitrary configurations) and the label naming the dialect in metrics,
+// "custom" for explicit selections. Every call counts exactly one catalog
+// hit, miss or shared lookup. A preset resolves through its
+// pre-fingerprinted selection and allocates nothing once built.
+func (s *Server) resolve(dialectName string, features []string) (*core.Product, engine.Engine, string, error) {
 	switch {
 	case dialectName != "" && len(features) > 0:
 		return nil, nil, "", fmt.Errorf("request selects both dialect %q and an explicit feature list; choose one", dialectName)
 	case dialectName != "":
-		feats, err := dialect.Features(dialect.Name(dialectName))
+		sel, err := dialect.Selection(dialect.Name(dialectName))
 		if err != nil {
 			return nil, nil, "", err
 		}
-		cfg, opts, label = feature.NewConfig(feats...), core.Options{Product: dialectName}, dialectName
+		prod, eng, err := s.cat.ResolveSelection(sel)
+		return prod, eng, dialectName, err
 	case len(features) > 0:
-		cfg, opts, label = feature.NewConfig(features...), core.Options{Product: "custom"}, "custom"
-	default:
-		return nil, nil, "", fmt.Errorf("request selects no dialect and no features")
+		prod, eng, err := s.cat.Resolve(feature.NewConfig(features...), core.Options{Product: "custom"})
+		return prod, eng, "custom", err
 	}
-	prod, eng, err := s.cat.Resolve(cfg, opts)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return eng, prod.Parser.Lexer(), label, nil
+	return nil, nil, "", fmt.Errorf("request selects no dialect and no features")
 }

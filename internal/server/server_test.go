@@ -366,6 +366,82 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	checkNoGoroutineLeak(t, baseline)
 }
 
+// TestDeadlineKeepsAdmissionSlot: a parse abandoned at its deadline keeps
+// its admission slot until it really finishes, so overrunning work cannot
+// pile up beyond MaxInFlight.
+func TestDeadlineKeepsAdmissionSlot(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s := freshServer(t, Config{MaxInFlight: 1, RequestTimeout: 250 * time.Millisecond})
+	s.testHookParse = func() {
+		once.Do(func() { close(parked) })
+		<-release
+	}
+	addr := startServer(t, s)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	url := "http://" + addr + "/v1/parse"
+	req := ParseRequest{Dialect: "minimal", SQL: "SELECT a FROM t"}
+
+	if status, body, _ := postJSON(t, client, url, req); status != http.StatusGatewayTimeout {
+		t.Fatalf("parked parse got %d, want 504: %s", status, body)
+	}
+	<-parked
+	if status, body, _ := postJSON(t, client, url, req); status != http.StatusTooManyRequests {
+		t.Fatalf("request behind the abandoned parse got %d, want 429: %s", status, body)
+	}
+
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.m.inflight.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned parse never released its admission slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if status, body, _ := postJSON(t, client, url, req); status != http.StatusOK {
+		t.Fatalf("request after the abandoned parse finished got %d, want 200: %s", status, body)
+	}
+	if got := s.m.timeouts.Value(); got != 1 {
+		t.Errorf("timeouts counter = %d, want 1", got)
+	}
+	if got := s.m.rejected.Value(); got != 1 {
+		t.Errorf("rejected counter = %d, want 1", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	client.CloseIdleConnections()
+	checkNoGoroutineLeak(t, baseline)
+}
+
+// TestResolveAllocationBudget: resolving a built preset by name is one
+// catalog map probe through the preset table — no feature-list copy, no
+// config map, no fingerprint hashing.
+func TestResolveAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := freshServer(t, Config{})
+	for _, name := range dialect.Names() {
+		if _, _, _, err := s.resolve(string(name), nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := s.resolve(string(name), nil); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: resolve allocates %.2f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 func TestConcurrentDistinctDialectsCoalesce(t *testing.T) {
 	s := freshServer(t, Config{MaxInFlight: 64, RequestTimeout: 60 * time.Second})
 	addr := startServer(t, s)

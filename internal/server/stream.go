@@ -79,18 +79,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if f := q.Get("features"); f != "" {
 		features = strings.Split(f, ",")
 	}
-	eng, lx, label, err := s.resolveStream(q.Get("dialect"), features)
-	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
+	// Admission comes first: resolving an unseen selection builds it, and
+	// that build must not run while the server is shedding load.
 	if !s.admit() {
 		s.reject429(w)
 		return
 	}
 	defer s.release()
 	s.m.streamReqs.Inc()
+	prod, eng, label, err := s.resolve(q.Get("dialect"), features)
+	if err != nil {
+		s.m.badRequests.Inc()
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
 	s.m.dialect(label).Inc()
 
 	// The handler interleaves request-body reads with response writes. On
@@ -107,7 +109,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// non-streaming request lives under — while the body overall is capped
 	// only by MaxStreamBytes. That pair is the endpoint's memory contract.
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes)
-	sc := stream.NewScanner(lx, body, stream.Config{MaxStatement: int(s.cfg.MaxBodyBytes)})
+	sc := stream.NewScanner(prod.Parser.Lexer(), body, stream.Config{MaxStatement: int(s.cfg.MaxBodyBytes)})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := bufio.NewWriterSize(w, 64<<10)

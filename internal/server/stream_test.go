@@ -6,7 +6,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"sqlspl/internal/dialect"
 )
 
 // postStream posts raw SQL to /v1/stream and decodes the NDJSON response
@@ -109,7 +113,7 @@ func TestStreamEndpointEquivalence(t *testing.T) {
 	}
 
 	// Byte-for-byte diagnostic equivalence with the non-streaming view.
-	eng, _, _, err := s.resolveStream("core", nil)
+	_, eng, _, err := s.resolve("core", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +225,55 @@ func TestStreamRequestErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q status = %d, want 400", query, resp.StatusCode)
 		}
+	}
+}
+
+// TestStreamAdmitsBeforeResolving: a saturated server sheds a stream with
+// an unseen selection before resolving it, so the selection's build never
+// runs outside admission control.
+func TestStreamAdmitsBeforeResolving(t *testing.T) {
+	admitted := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s := freshServer(t, Config{MaxInFlight: 1, RequestTimeout: 30 * time.Second})
+	s.testHookAdmitted = func() {
+		once.Do(func() { close(admitted) })
+		<-release
+	}
+	addr := startServer(t, s)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+
+	// A parked parse holds the only slot.
+	firstDone := make(chan error, 1)
+	go func() {
+		resp, err := client.Post("http://"+addr+"/v1/parse", "application/json",
+			strings.NewReader(`{"dialect":"minimal","sql":"SELECT a FROM t"}`))
+		if err != nil {
+			firstDone <- err
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			firstDone <- fmt.Errorf("parked parse got %d", resp.StatusCode)
+			return
+		}
+		firstDone <- nil
+	}()
+	<-admitted
+
+	before := s.Catalog().Stats()
+	features := strings.Join(mustConfig(t, dialect.TinySQL).Names(), ",")
+	if _, _, status := postStream(t, client, "http://"+addr+"/v1/stream?features="+features, "SELECT a FROM t;"); status != http.StatusTooManyRequests {
+		t.Errorf("stream at capacity got %d, want 429", status)
+	}
+	if after := s.Catalog().Stats(); after.Misses != before.Misses {
+		t.Errorf("shed stream built its selection: misses %d -> %d", before.Misses, after.Misses)
+	}
+
+	close(release)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
 	}
 }
 
