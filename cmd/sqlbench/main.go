@@ -7,7 +7,7 @@
 //	sqlbench -exp E8     # parse throughput: products vs monolithic baseline
 //	sqlbench -exp E9     # extension composability (sensor clauses)
 //	sqlbench -exp E11    # engine comparison: interpreted vs generated per preset
-//	sqlbench -exp E12    # verdict serving: cold vs cached-hit vs streamed
+//	sqlbench -exp E12    # verdict serving: cold vs cached-hit vs streamed, per layer
 //	sqlbench -exp E11,E12 -json BENCH_parse.json   # the benchgate series
 package main
 
@@ -125,8 +125,9 @@ type benchRow struct {
 	// allocates less. Absent on absolute rows.
 	NsVsInterpretedPct  *float64 `json:"ns_vs_interpreted_pct,omitempty"`
 	AllocsVsInterpreted *float64 `json:"allocs_vs_interpreted,omitempty"`
-	// E12 cached-hit and streamed rows relate to the uncached verdict pass
-	// over the same corpus: >1 means faster than a cold engine Check.
+	// E12 cached-hit, scan-only and streamed rows relate to the uncached
+	// verdict pass over the same corpus: >1 means faster than a cold engine
+	// Check.
 	SpeedupVsUncached *float64 `json:"speedup_vs_uncached,omitempty"`
 }
 
@@ -465,15 +466,18 @@ func printE11(preset, engineName string, m measurement, rel *relDelta) {
 }
 
 // e12Verdicts measures the verdict serving paths this repo's streaming
-// pipeline is built from (experiment E12): a cold engine Check per query
-// ("uncached"), the same corpus answered from a warmed hot-statement
-// verdict cache ("cached-hit", the steady state of /v1/parse want=verdict
-// under repeated traffic), and the streaming scanner driving the cached
-// verdict path over the corpus joined into one ';'-separated script
-// ("streamed", the /v1/stream inner loop without HTTP).
+// endpoint is built from (experiment E12), one layer per row: a cold
+// engine Check per query ("uncached"), the same corpus answered from a
+// warmed hot-statement verdict cache ("cached-hit", the steady state of
+// /v1/parse want=verdict under repeated traffic), and the corpus joined
+// into one ';'-separated script walked by the streaming scanner alone
+// ("scan-only"), with a fresh verdict cache per pass ("streamed-cold", a
+// never-repeating /v1/stream script) and with a warmed one
+// ("streamed-hit", a repeated script). Every row is serial, so none of
+// them includes the /v1/stream worker pipeline or HTTP.
 func e12Verdicts(n int) {
 	fmt.Println("E12: verdict serving — cold engine vs cached hit vs streamed script")
-	fmt.Printf("%-11s %-12s %12s %12s %9s %9s\n",
+	fmt.Printf("%-11s %-13s %12s %12s %9s %9s\n",
 		"PRESET", "PATH", "VERDICTS/S", "NS/VERDICT", "SPEEDUP", "ALLOCS/V")
 	rows := []struct {
 		name    dialect.Name
@@ -499,22 +503,22 @@ func e12Verdicts(n int) {
 		if cold.accepted == 0 {
 			continue
 		}
+		row := func(path string, m measurement) {
+			speedup := float64(cold.nsq) / float64(m.nsq)
+			recordE12(string(r.name), path, m, speedup)
+			printE12(string(r.name), path, m, &speedup)
+		}
 
-		// One cache serves both the cached-hit and streamed passes, as one
-		// does in the server; measure's warmup pass fills it, the timed
-		// passes hit it.
+		// measure's warmup pass fills the cache, the timed passes hit it.
 		vc := product.NewVerdictCache(0)
-		hit := measure(r.queries, func(q string) bool { return vc.Verdict(eng, q).OK() })
-		speedup := float64(cold.nsq) / float64(hit.nsq)
-		recordE12(string(r.name), "cached-hit", hit, speedup)
-		printE12(string(r.name), "cached-hit", hit, &speedup)
+		row("cached-hit", measure(r.queries, func(q string) bool { return vc.Verdict(eng, q).OK() }))
 
-		// The streamed unit of work is one scan of the whole script; the
-		// per-statement Texts differ from the bare queries (they keep the
-		// ';' and separators), so they warm their own cache entries.
+		// The streamed unit of work is one scan of the whole script. Its
+		// statement texts keep the ';' and separators, so they differ from
+		// the bare queries and get cache entries of their own.
 		script := strings.Join(r.queries, ";\n") + ";\n"
 		lx := prod.Parser.Lexer()
-		streamed := measureLoop(len(r.queries), cold.accepted, len(script), func() {
+		scan := func(verdict func(string)) {
 			sc := stream.NewScanner(lx, strings.NewReader(script), stream.Config{})
 			for {
 				st, err := sc.Next()
@@ -524,16 +528,24 @@ func e12Verdicts(n int) {
 				if len(st.Tokens) == 0 && st.Err == nil {
 					continue
 				}
-				vc.Verdict(eng, st.Text)
+				verdict(st.Text)
 			}
-		})
-		sSpeed := float64(cold.nsq) / float64(streamed.nsq)
-		recordE12(string(r.name), "streamed", streamed, sSpeed)
-		printE12(string(r.name), "streamed", streamed, &sSpeed)
+		}
+		loop := func(pass func()) measurement {
+			return measureLoop(len(r.queries), cold.accepted, len(script), pass)
+		}
+		row("scan-only", loop(func() { scan(func(string) {}) }))
+		row("streamed-cold", loop(func() {
+			fresh := product.NewVerdictCache(0)
+			scan(func(q string) { fresh.Verdict(eng, q) })
+		}))
+		row("streamed-hit", loop(func() { scan(func(q string) { vc.Verdict(eng, q) }) }))
 	}
 	fmt.Println("(uncached = engine Check per query; cached-hit = warmed verdict cache, the")
-	fmt.Println(" /v1/parse want=verdict steady state; streamed = scanner + cached verdicts")
-	fmt.Println(" over one ';'-joined script, the /v1/stream inner loop; speedup vs uncached)")
+	fmt.Println(" /v1/parse want=verdict steady state; scan-only = the streaming scanner over")
+	fmt.Println(" one ';'-joined script; streamed-cold = scanner + a fresh verdict cache per")
+	fmt.Println(" pass; streamed-hit = scanner + a warmed one; all serial, no worker")
+	fmt.Println(" pipeline or HTTP; speedup vs uncached)")
 }
 
 // recordE12 is record for the E12 series rows, which relate to the
@@ -560,7 +572,7 @@ func recordE12(workloadName, parserName string, m measurement, speedup float64) 
 // printE12 renders one E12 table row.
 func printE12(preset, path string, m measurement, speedup *float64) {
 	if m.accepted == 0 {
-		fmt.Printf("%-11s %-12s %12s (workload not parseable: out-of-dialect)\n", preset, path, "-")
+		fmt.Printf("%-11s %-13s %12s (workload not parseable: out-of-dialect)\n", preset, path, "-")
 		return
 	}
 	sp := "-"
@@ -571,7 +583,7 @@ func printE12(preset, path string, m measurement, speedup *float64) {
 	if m.accepted < m.queries {
 		note = fmt.Sprintf("  (!! only %d/%d accepted)", m.accepted, m.queries)
 	}
-	fmt.Printf("%-11s %-12s %12.0f %12d %9s %9.2f%s\n", preset, path, m.qps, m.nsq, sp, m.allocs, note)
+	fmt.Printf("%-11s %-13s %12.0f %12d %9s %9.2f%s\n", preset, path, m.qps, m.nsq, sp, m.allocs, note)
 }
 
 func max(a, b int) int {

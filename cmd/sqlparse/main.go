@@ -48,15 +48,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"sqlspl/internal/ast"
@@ -195,188 +194,92 @@ func main() {
 	}
 }
 
-// batchJob is one statement handed to a parse worker. Statement texts are
-// immutable and retainable (the iterator's ownership contract), so jobs
-// carry them without copying.
-type batchJob struct {
-	seq  int    // 1-based statement number, the N in "N: ACCEPT"
-	line int    // the statement's first-token line in the input
-	text string // raw statement span, trivia and ';' included
-	// at locates the span in the whole input so failure diagnostics are
-	// rebased to whole-input coordinates, matching a single-shot parse of
-	// the same script.
-	at server.Position
-}
-
-type batchDone struct {
-	batchJob
-	resp *server.ParseResponse
-}
-
-// runBatch streams ';'-separated statements from in through the statement
-// iterator and parses them over the shared engine with the given number of
-// goroutines — the catalog's serving path: the engine was resolved (or
-// cache-hit) once, and it is safe for concurrent use. Memory stays
-// proportional to the largest statement plus the worker window, never the
-// input: the bounded job channel applies back-pressure to the scanner, and
-// the reorder buffer can hold at most the in-flight window. Verdicts print
-// in input order regardless of completion order; per-statement parse
-// errors go to stderr and the returned count makes the exit status nonzero
-// when any statement failed. With jsonOut the verdict lines are NDJSON in
-// the sqlserved wire format (one compact ParseResponse per statement) and
-// the summary moves to stderr so stdout stays machine-readable.
+// runBatch streams ';'-separated statements from in through the ordered
+// statement pipeline (stream.Pipeline) and parses them over the shared
+// engine with the given number of goroutines — the catalog's serving path:
+// the engine was resolved (or cache-hit) once, and it is safe for
+// concurrent use. Memory stays proportional to the largest statement plus
+// the pipeline's bounded window, never the input. Verdicts print in input
+// order regardless of completion order; per-statement parse errors go to
+// stderr and the returned count makes the exit status nonzero when any
+// statement failed. With jsonOut the verdict lines are NDJSON in the
+// sqlserved wire format (one compact ParseResponse per statement) and the
+// summary moves to stderr so stdout stays machine-readable.
 func runBatch(eng engine.Engine, lx *lexer.Lexer, in io.Reader, out io.Writer, workers int, jsonOut bool, want string) (rejected int, err error) {
 	if workers < 1 {
 		workers = 1
 	}
-	jobs := make(chan batchJob, workers)
-	results := make(chan batchDone, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				var r *server.ParseResponse
-				if jsonOut {
-					// OutcomeAt rebases the statement-relative error and
-					// recovery diagnostics to whole-input coordinates, so
-					// the NDJSON records carry the same positions a
-					// single-shot parse of the script would report.
-					r = server.OutcomeAt(eng, j.text, want, j.at)
-				} else {
-					// Verdict-only: parse without building a response shape,
-					// preserving batch mode's original parse-only semantics.
-					r = &server.ParseResponse{Dialect: eng.Info().Product}
-					if _, err := eng.Parse(j.text); err != nil {
-						r.Error = server.EncodeDiagnostic(server.RelocateError(err, j.at))
-					} else {
-						r.OK = true
-					}
-				}
-				results <- batchDone{j, r}
+	var (
+		accepted int
+		emitErr  error
+	)
+	p := stream.Pipeline[*server.ParseResponse]{
+		Workers: workers,
+		Check: func(st *stream.Stmt) *server.ParseResponse {
+			// at locates the span in the whole input so failure diagnostics
+			// are rebased to whole-input coordinates, matching a single-shot
+			// parse of the same script.
+			at := server.Position{Off: st.Off, Line: st.Line, Col: st.Col, HasMore: st.HasMore}
+			if jsonOut {
+				return server.OutcomeAt(eng, st.Text, want, at)
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// The emitter re-sequences completions: results arrive in any order,
-	// print in seq order. Its buffer is bounded by the in-flight window
-	// (jobs channel + one per worker), not the input.
-	type emitTotals struct {
-		accepted, rejected int
-		err                error
-	}
-	emitted := make(chan emitTotals, 1)
-	go func() {
-		var t emitTotals
-		pending := map[int]batchDone{}
-		next := 1
-		for d := range results {
-			pending[d.seq] = d
-			for {
-				d, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				if d.resp.OK {
-					t.accepted++
-				} else {
-					t.rejected++
-					fmt.Fprintf(os.Stderr, "sqlparse: line %d: %s\n", d.line, d.resp.Error.Message)
-				}
-				if t.err != nil {
-					continue // keep draining, first error wins
-				}
-				switch {
-				case jsonOut:
-					data, err := json.Marshal(d.resp)
-					if err != nil {
-						t.err = err
-						continue
-					}
-					fmt.Fprintf(out, "%s\n", data)
-				case d.resp.OK:
-					fmt.Fprintf(out, "%d: ACCEPT\n", d.seq)
-				default:
-					fmt.Fprintf(out, "%d: REJECT %s\n", d.seq, d.resp.Error.Message)
-				}
+			// Verdict-only: parse without building a response shape,
+			// preserving batch mode's original parse-only semantics.
+			r := &server.ParseResponse{Dialect: eng.Info().Product}
+			if _, err := eng.Parse(st.Text); err != nil {
+				r.Error = server.EncodeDiagnostic(server.RelocateError(err, at))
+			} else {
+				r.OK = true
 			}
-		}
-		emitted <- t
-	}()
+			return r
+		},
+		Emit: func(st *stream.Stmt, r *server.ParseResponse) {
+			if r.OK {
+				accepted++
+			} else {
+				rejected++
+				fmt.Fprintf(os.Stderr, "sqlparse: line %d: %s\n", st.FirstLine, r.Error.Message)
+			}
+			if emitErr != nil {
+				return // keep counting, first error wins
+			}
+			switch {
+			case jsonOut:
+				data, err := json.Marshal(r)
+				if err != nil {
+					emitErr = err
+					return
+				}
+				fmt.Fprintf(out, "%s\n", data)
+			case r.OK:
+				fmt.Fprintf(out, "%d: ACCEPT\n", st.Seq+1)
+			default:
+				fmt.Fprintf(out, "%d: REJECT %s\n", st.Seq+1, r.Error.Message)
+			}
+		},
+	}
 
 	start := time.Now()
-	sc := stream.NewScanner(lx, in, stream.Config{})
-	seq := 0
-	var scanErr error
-	// One statement is held back so every job knows whether a later
-	// statement exists — diagnostics then carry the recovery pass's
-	// "statement skipped" hint exactly as a whole-script parse would.
-	var pending *batchJob
-	dispatch := func(j batchJob, hasMore bool) {
-		j.at.HasMore = hasMore
-		jobs <- j
+	if err := p.Run(context.Background(), stream.NewScanner(lx, in, stream.Config{})); err != nil {
+		return 0, err
 	}
-	for {
-		st, err := sc.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				scanErr = err
-			}
-			break
-		}
-		if len(st.Tokens) == 0 && st.Err == nil {
-			continue // trivia-only tail: nothing to parse
-		}
-		// Tokens are valid only until the next Next call: take the line now.
-		line := st.Line
-		switch {
-		case len(st.Tokens) > 0:
-			line = st.Line + st.Tokens[0].Line - 1
-		case st.Err != nil:
-			line = st.Line + st.Err.Line - 1
-		}
-		seq++
-		j := batchJob{seq: seq, line: line, text: st.Text,
-			at: server.Position{Off: st.Off, Line: st.Line, Col: st.Col}}
-		if pending != nil {
-			dispatch(*pending, true)
-		}
-		pending = &j
-	}
-	// The held-back statement is complete even when the scan aborted after
-	// it; on abort unread input remained, so it was not the last statement.
-	if pending != nil {
-		dispatch(*pending, scanErr != nil)
-	}
-	close(jobs)
-	totals := <-emitted
 	elapsed := time.Since(start)
-
-	if scanErr != nil {
-		return 0, scanErr
+	if emitErr != nil {
+		return 0, emitErr
 	}
-	if totals.err != nil {
-		return 0, totals.err
-	}
-	if seq == 0 {
+	n := accepted + rejected
+	if n == 0 {
 		return 0, fmt.Errorf("batch mode: no queries on stdin")
 	}
 	summary := fmt.Sprintf("-- %d statements: %d accepted, %d rejected (dialect %s, %d workers, %s, %.0f q/s)\n",
-		seq, totals.accepted, totals.rejected, eng.Info().Product, workers,
-		elapsed.Round(time.Microsecond), float64(seq)/elapsed.Seconds())
+		n, accepted, rejected, eng.Info().Product, workers,
+		elapsed.Round(time.Microsecond), float64(n)/elapsed.Seconds())
 	if jsonOut {
 		fmt.Fprint(os.Stderr, summary)
 	} else {
 		fmt.Fprint(out, summary)
 	}
-	return totals.rejected, nil
+	return rejected, nil
 }
 
 // renderFailure runs statement recovery over a rejected script and renders

@@ -236,9 +236,17 @@ func runLoadgen(cfg loadgenConfig) error {
 // by cycling a statement pool — the streaming request body. It implements
 // io.Reader so the script is never materialized: the client chunks it onto
 // the wire as the server consumes it.
+//
+// Each statement carries a leading comment. A statement's leading trivia
+// is part of its text, and so of its verdict-cache key, so the comment
+// sets how many distinct statements the stream holds: with hot > 0 the
+// script cycles exactly hot distinct statements, otherwise every statement
+// of every request is distinct and each one misses the cache.
 type scriptGen struct {
 	pool    []string
 	target  int64
+	hot     int // >0: cycle this many distinct statements
+	req     int // request index, tags cold statements
 	written int64
 	stmts   int64
 	pending string
@@ -250,7 +258,12 @@ func (g *scriptGen) Read(p []byte) (int, error) {
 		if g.written >= g.target {
 			return 0, io.EOF
 		}
-		g.pending = g.pool[g.i%len(g.pool)] + ";\n"
+		if g.hot > 0 {
+			k := g.i % g.hot
+			g.pending = fmt.Sprintf("\n/* h%d */ %s;", k, g.pool[k%len(g.pool)])
+		} else {
+			g.pending = fmt.Sprintf("\n/* r%d s%d */ %s;", g.req, g.i, g.pool[g.i%len(g.pool)])
+		}
 		g.i++
 		g.written += int64(len(g.pending))
 		g.stmts++
@@ -266,6 +279,9 @@ func (g *scriptGen) Read(p []byte) (int, error) {
 // generated statement with zero rejections. A heap sampler runs throughout
 // — the point of the mode is that peak memory stays flat no matter how
 // many MB stream through, and -mem-ceiling-mb turns that into a hard gate.
+// With cfg.hot the streams cycle that many distinct statements per dialect
+// and are answered mostly from the verdict cache; without it every
+// statement is distinct, so each one is checked by a pipeline worker.
 func runStreamLoadgen(cfg loadgenConfig) error {
 	pool, err := buildPools(cfg, 512)
 	if err != nil {
@@ -297,8 +313,12 @@ func runStreamLoadgen(cfg loadgenConfig) error {
 		return err
 	}
 
-	fmt.Printf("loadgen: %d stream requests × ≥%d MB, dialects [%s], concurrency %d, seed %d\n",
-		cfg.total, cfg.streamMB, strings.Join(cfg.dialects, " "), cfg.concurrency, cfg.seed)
+	distinctNote := "every statement distinct"
+	if cfg.hot > 0 {
+		distinctNote = fmt.Sprintf("hot set %d", cfg.hot)
+	}
+	fmt.Printf("loadgen: %d stream requests × ≥%d MB, dialects [%s], concurrency %d, seed %d, %s\n",
+		cfg.total, cfg.streamMB, strings.Join(cfg.dialects, " "), cfg.concurrency, cfg.seed, distinctNote)
 
 	sampleMem := startMemSampler()
 	var (
@@ -324,7 +344,7 @@ func runStreamLoadgen(cfg loadgenConfig) error {
 					return
 				}
 				d := cfg.dialects[i%len(cfg.dialects)]
-				gen := &scriptGen{pool: pool[d], target: int64(cfg.streamMB) << 20}
+				gen := &scriptGen{pool: pool[d], target: int64(cfg.streamMB) << 20, hot: cfg.hot, req: i}
 				stmts, err := postStream(client, base, d, gen)
 				totalStatements.Add(stmts)
 				totalBytes.Add(gen.written)
@@ -355,14 +375,18 @@ func runStreamLoadgen(cfg loadgenConfig) error {
 		})
 	}
 
+	// Every distinct statement misses exactly once: a hot set fits the
+	// verdict cache, and a cold stream never repeats a statement.
 	expect := metricsExpect{
 		catalogResolves:  cfg.total,
 		streamReqs:       cfg.total,
 		streamStatements: totalStatements.Load(),
 		verdictLookups:   totalStatements.Load(),
+		verdictDistinct:  totalStatements.Load(),
+		verdictExact:     true,
 	}
-	for _, d := range cfg.dialects {
-		expect.verdictDistinct += int64(len(pool[d]))
+	if cfg.hot > 0 {
+		expect.verdictDistinct = int64(cfg.hot * min(cfg.total, len(cfg.dialects)))
 	}
 	mismatches, err := verifyMetrics(client, base, expect)
 	if err != nil {
@@ -607,6 +631,7 @@ type metricsExpect struct {
 	streamStatements int64 // statements answered across all streams
 	verdictLookups   int64 // verdict-cache hits+misses+shared must sum to this
 	verdictDistinct  int64 // ... and misses must not exceed this
+	verdictExact     bool  // ... or, when set, must equal it
 }
 
 // verifyMetrics scrapes /metrics as JSON and asserts the loadgen
@@ -691,13 +716,21 @@ func verifyMetrics(client *http.Client, base string, expect metricsExpect) (mism
 			fmt.Printf("telemetry MISMATCH: verdict cache hits(%.0f)+misses(%.0f)+shared(%.0f) = %.0f, want %d\n",
 				vh, vm, vs, sum, expect.verdictLookups)
 			mismatches++
+		} else if expect.verdictExact && vm != float64(expect.verdictDistinct) {
+			fmt.Printf("telemetry MISMATCH: verdict cache misses %.0f, want exactly the %d distinct statements driven\n",
+				vm, expect.verdictDistinct)
+			mismatches++
 		} else if vm > float64(expect.verdictDistinct) {
 			fmt.Printf("telemetry MISMATCH: verdict cache misses %.0f exceed the %d distinct statements driven\n",
 				vm, expect.verdictDistinct)
 			mismatches++
 		} else {
-			fmt.Printf("telemetry: verdict cache hits %.0f + misses %.0f + coalesced %.0f = %d lookups (≤%d distinct)\n",
-				vh, vm, vs, expect.verdictLookups, expect.verdictDistinct)
+			bound := "≤"
+			if expect.verdictExact {
+				bound = "misses = "
+			}
+			fmt.Printf("telemetry: verdict cache hits %.0f + misses %.0f + coalesced %.0f = %d lookups (%s%d distinct)\n",
+				vh, vm, vs, expect.verdictLookups, bound, expect.verdictDistinct)
 		}
 	}
 	return mismatches, nil

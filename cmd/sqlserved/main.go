@@ -17,11 +17,13 @@
 // request count — the serving benchmark recorded in EXPERIMENTS.md.
 // -hot restricts the pools to a hot set so the verdict cache absorbs the
 // load; -stream-mb switches to streaming mode (multi-MB scripts through
-// /v1/stream); -mem-ceiling-mb makes the run's peak heap a hard gate:
+// /v1/stream, every statement distinct unless -hot is set);
+// -mem-ceiling-mb makes the run's peak heap a hard gate:
 //
 //	sqlserved -loadgen -n 12000 -loadgen-dialects tinysql,scql,core -concurrency 32
 //	sqlserved -loadgen -n 50000 -want verdict -hot 64
-//	sqlserved -loadgen -n 2 -stream-mb 64 -loadgen-dialects core -concurrency 1 -mem-ceiling-mb 256
+//	sqlserved -loadgen -n 2 -stream-mb 64 -hot 512 -loadgen-dialects core -concurrency 1 -mem-ceiling-mb 256
+//	sqlserved -loadgen -n 1 -stream-mb 64 -loadgen-dialects core -concurrency 1 -mem-ceiling-mb 256
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxInFlight = flag.Int("max-inflight", 0, "admission bound on concurrent requests (0 = 4×GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request deadline")
-		workers     = flag.Int("workers", 0, "parse goroutines per batch request (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parse goroutines per /v1/batch or /v1/stream request; the bound applies to each request (0 = GOMAXPROCS)")
 		warm        = flag.String("warm", "", "comma-separated presets to build before readiness, or 'all'")
 
 		loadgen     = flag.Bool("loadgen", false, "run the load generator against a private in-process server")
@@ -53,7 +55,7 @@ func main() {
 		concurrency = flag.Int("concurrency", 32, "loadgen: concurrent client connections")
 		want        = flag.String("want", "render", "loadgen: response shape per request (verdict|tree|ast|render|analysis)")
 		seed        = flag.Uint64("seed", 1, "loadgen: workload seed")
-		hot         = flag.Int("hot", 0, "loadgen: restrict each dialect's pool to this many distinct statements (hot-set cache mode)")
+		hot         = flag.Int("hot", 0, "loadgen: restrict each dialect's pool to this many distinct statements (hot-set cache mode); in stream mode 0 makes every statement distinct")
 		streamMB    = flag.Int("stream-mb", 0, "loadgen: stream mode — POST scripts of at least this many MB to /v1/stream")
 		memCeiling  = flag.Int("mem-ceiling-mb", 0, "loadgen: fail if peak heap exceeds this many MB during the run")
 	)

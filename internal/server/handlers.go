@@ -171,11 +171,13 @@ func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleBatch serves POST /v1/batch: one product resolution, then the
-// cmd/sqlparse -batch worker pattern — a bounded pool of goroutines
-// draining an index channel over the shared parser, verdicts in input
-// order. The batch holds a single admission slot; intra-batch parallelism
-// is bounded separately by Config.BatchWorkers.
+// handleBatch serves POST /v1/batch: one product resolution, then a
+// bounded pool of goroutines draining an index channel over the shared
+// parser, verdicts in input order. The batch holds a single admission
+// slot; intra-batch parallelism is bounded separately by
+// Config.BatchWorkers. (A batch's queries are all in memory, so it needs
+// no scanner and no window; /v1/stream and sqlparse -batch check their
+// statements through stream.Pipeline instead.)
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})

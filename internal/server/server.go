@@ -68,8 +68,9 @@ type Config struct {
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline; <= 0 means 10s.
 	RequestTimeout time.Duration
-	// BatchWorkers bounds parse goroutines within one batch request;
-	// <= 0 means GOMAXPROCS.
+	// BatchWorkers bounds the parse goroutines of one /v1/batch or
+	// /v1/stream request; <= 0 means GOMAXPROCS. The bound applies per
+	// request: each admitted batch or stream may keep that many cores busy.
 	BatchWorkers int
 	// MaxBodyBytes caps request bodies; <= 0 means 4 MiB.
 	MaxBodyBytes int64
@@ -112,6 +113,9 @@ type Server struct {
 	// parse. Tests use it to inject panics where they would escape the
 	// serving middleware and kill the daemon.
 	testHookParse func()
+	// testHookStreamCheck, when set, runs on a /v1/stream worker before
+	// each statement is checked, with the statement's text. Tests use it to inject a panic into one statement.
+	testHookStreamCheck func(text string)
 }
 
 // New builds a server from the config. It does not listen yet; call Start

@@ -6,24 +6,25 @@
 // peak memory proportional to its largest statement, not its size.
 //
 // Each statement rides the same verdict path as /v1/parse want=verdict:
-// the hot-statement cache first, engine dispatch on a miss. Diagnostics
-// are the statement-recovery view relocated to whole-script coordinates,
-// so for scripts under the recovery diagnostic cap the stream reproduces
-// exactly what a whole-script Diagnose would have reported (DESIGN §13
-// notes the two deliberate differences: no 20-diagnostic cap, and leading
-// trivia buffers with the statement that follows it).
+// the hot-statement cache first, engine dispatch on a miss. Statements
+// are checked on Config.BatchWorkers goroutines through the ordered
+// statement pipeline (stream.Pipeline); records are written in input
+// order by the handler goroutine. Diagnostics are the statement-recovery view relocated
+// to whole-script coordinates, so for scripts under the recovery
+// diagnostic cap the stream reproduces exactly what a whole-script
+// Diagnose would have reported (DESIGN §13 notes the two deliberate
+// differences: no 20-diagnostic cap, and leading trivia buffers with the
+// statement that follows it).
 package server
 
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
-	"sqlspl/internal/parser"
+	"sqlspl/internal/product"
 	"sqlspl/internal/stream"
 )
 
@@ -56,16 +57,6 @@ type StreamSummary struct {
 	Rejected      int    `json:"rejected"`
 	Error         string `json:"error,omitempty"`
 	ElapsedMicros int64  `json:"elapsed_us"`
-}
-
-// pendingStmt is the one-statement lookahead the handler keeps so a
-// failing statement's diagnostics can carry the recovery pass's
-// "statement skipped" hint exactly when a later statement exists —
-// Statement.Text is immutable and retainable, so holding it is free.
-type pendingStmt struct {
-	text      string
-	off, line int
-	col       int
 }
 
 // handleStream serves POST /v1/stream?dialect=NAME (or ?features=a,b,c).
@@ -118,58 +109,49 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sum := StreamSummary{Summary: true, Dialect: eng.Info().Product}
 	sinceFlush := 0
-	emit := func(p pendingStmt, hasMore bool) {
-		v := s.verdict(eng, p.text)
-		rec := StreamResult{Seq: sum.Statements, OK: v.OK(), Off: p.off, Line: p.line, Bytes: len(p.text)}
-		sum.Statements++
-		s.m.streamStatements.Inc()
-		if v.OK() {
-			sum.Accepted++
-		} else {
-			sum.Rejected++
-			s.m.parseErrors.Inc()
-			rec.Diagnostics = relocateDiagnostics(v.Diags, p, hasMore)
-		}
-		_ = enc.Encode(rec)
-		if sinceFlush++; sinceFlush >= streamFlushEvery {
-			sinceFlush = 0
-			bw.Flush()
-			_ = rc.Flush()
-		}
-	}
-
-	// The scanner owns sequencing; the handler holds one statement back so
-	// every emit knows whether a later checkable statement exists. Only the
-	// final trivia-only tail (no tokens, no scan error) is skipped — it is
-	// not a statement, and whole-script recovery would not report on it.
-	var pending *pendingStmt
-	var scanErr error
-	for {
-		if err := r.Context().Err(); err != nil {
-			scanErr = err
-			break
-		}
-		st, err := sc.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				scanErr = err
+	// Statements are checked on up to BatchWorkers goroutines, cache hits
+	// included, and answered in input order here, on the handler
+	// goroutine, which owns every response write. A nil verdict marks a
+	// check that panicked: the workers run outside withRecovery, so the
+	// panic is contained to its own record.
+	p := stream.Pipeline[*product.Verdict]{
+		Workers: s.cfg.BatchWorkers,
+		Check: func(st *stream.Stmt) (v *product.Verdict) {
+			defer func() {
+				if rec := recover(); rec != nil {
+					s.m.panics.Inc()
+					v = nil
+				}
+			}()
+			if s.testHookStreamCheck != nil {
+				s.testHookStreamCheck(st.Text)
 			}
-			break
-		}
-		if len(st.Tokens) == 0 && st.Err == nil {
-			continue // trivia-only tail
-		}
-		if pending != nil {
-			emit(*pending, true)
-		}
-		pending = &pendingStmt{text: st.Text, off: st.Off, line: st.Line, col: st.Col}
+			return s.verdict(eng, st.Text)
+		},
+		Emit: func(st *stream.Stmt, v *product.Verdict) {
+			rec := StreamResult{Seq: st.Seq, OK: v != nil && v.OK(), Off: st.Off, Line: st.Line, Bytes: len(st.Text)}
+			s.m.streamStatements.Inc()
+			switch {
+			case v == nil:
+				sum.Rejected++
+				rec.Diagnostics = []*Diagnostic{{Message: "internal error: statement check panicked"}}
+			case v.OK():
+				sum.Accepted++
+			default:
+				sum.Rejected++
+				s.m.parseErrors.Inc()
+				rec.Diagnostics = RelocateDiagnostics(v.Diags, Position{Off: st.Off, Line: st.Line, Col: st.Col, HasMore: st.HasMore})
+			}
+			sum.Statements++
+			_ = enc.Encode(rec)
+			if sinceFlush++; sinceFlush >= streamFlushEvery {
+				sinceFlush = 0
+				bw.Flush()
+				_ = rc.Flush()
+			}
+		},
 	}
-	// The held-back statement is complete even when the scan aborted after
-	// it — answer it either way. On abort, unread input remained, so it is
-	// not the script's last statement.
-	if pending != nil {
-		emit(*pending, scanErr != nil)
-	}
+	scanErr := p.Run(r.Context(), sc)
 
 	if scanErr != nil {
 		sum.Error = scanErr.Error()
@@ -178,11 +160,4 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(sum)
 	bw.Flush()
 	_ = rc.Flush()
-}
-
-// relocateDiagnostics rebases a statement-relative recovery view (the
-// cached verdict's Diags) into whole-script coordinates via the shared
-// wire helper (RelocateDiagnostics), which batch callers use too.
-func relocateDiagnostics(diags []parser.Diagnostic, p pendingStmt, hasMore bool) []*Diagnostic {
-	return RelocateDiagnostics(diags, Position{Off: p.off, Line: p.line, Col: p.col, HasMore: hasMore})
 }

@@ -1,16 +1,24 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
+	"sqlspl/internal/parser"
+	"sqlspl/internal/product"
+	"sqlspl/internal/sql2003"
 )
 
 // postStream posts raw SQL to /v1/stream and decodes the NDJSON response
@@ -371,4 +379,207 @@ func TestVerdictCacheDisabled(t *testing.T) {
 	if _, sum, _ := postStream(t, client, "http://"+addr+"/v1/stream?dialect=core", "SELECT a FROM t;"); sum.Accepted != 1 {
 		t.Fatalf("stream without cache: %+v", sum)
 	}
+}
+
+// TestStreamPanicContained: the stream's statement workers run outside
+// the recovery middleware. A panic while checking one statement answers
+// that record with an internal-error diagnostic and is counted; the rest
+// of the stream, and the next request, are served normally.
+func TestStreamPanicContained(t *testing.T) {
+	s := freshServer(t, Config{BatchWorkers: 4})
+	s.testHookStreamCheck = func(text string) {
+		if strings.Contains(text, "boom") {
+			panic("injected statement panic")
+		}
+	}
+	addr := startServer(t, s)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	url := "http://" + addr + "/v1/stream?dialect=core"
+
+	const n, bad = 200, 57
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i == bad {
+			b.WriteString("SELECT boom FROM t;\n")
+		} else {
+			fmt.Fprintf(&b, "SELECT c%d FROM t;\n", i)
+		}
+	}
+	results, sum, status := postStream(t, client, url, b.String())
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	if len(results) != n || sum.Statements != n || sum.Accepted != n-1 || sum.Rejected != 1 || sum.Error != "" {
+		t.Fatalf("%d records, summary %+v; want %d records, one rejected", len(results), sum, n)
+	}
+	for i, r := range results {
+		if i == bad {
+			if r.OK || len(r.Diagnostics) != 1 || !strings.Contains(r.Diagnostics[0].Message, "internal error") {
+				t.Errorf("panicked statement's record = %+v, want one internal-error diagnostic", r)
+			}
+		} else if !r.OK {
+			t.Errorf("record %d rejected: %+v", i, r.Diagnostics)
+		}
+	}
+	if got := s.m.panics.Value(); got != 1 {
+		t.Errorf("parse_panics_total = %d, want 1", got)
+	}
+
+	if _, sum, status := postStream(t, client, url, "SELECT a FROM t;\nSELECT b FROM u;\n"); status != http.StatusOK || sum.Accepted != 2 {
+		t.Fatalf("request after the panic: status %d, summary %+v", status, sum)
+	}
+}
+
+// streamScaleScript builds a script of n statements mixing accepted
+// statements, parse errors, lexical errors and statements repeated byte
+// for byte (a newline before each statement makes repeats identical,
+// leading trivia included), ending with a failing statement without ';'.
+func streamScaleScript(n int) string {
+	var b strings.Builder
+	for i := 0; i < n-1; i++ {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		switch {
+		case i%10 == 3:
+			b.WriteString("SELECT nope FROM;")
+		case i%10 == 6:
+			fmt.Fprintf(&b, "SELECT @ x%d;", i%13)
+		case i%10 == 8:
+			fmt.Fprintf(&b, "SELECT a, b FROM t WHERE c = %d;", i%7)
+		case i%50 == 49:
+			fmt.Fprintf(&b, "-- row %d\nSELECT a\n  FROM t%d;", i, i)
+		default:
+			fmt.Fprintf(&b, "SELECT c%d FROM t%d WHERE d < %d;", i, i%31, i)
+		}
+	}
+	b.WriteString("\nDELETE FROM")
+	return b.String()
+}
+
+var elapsedField = regexp.MustCompile(`"elapsed_us":\d+`)
+
+// TestStreamWorkerCountInvariance pins order and equivalence at scale:
+// the NDJSON body is byte-identical for any worker count apart from
+// elapsed_us, the concatenated diagnostics equal an uncapped whole-script
+// Diagnose, and every statement counts exactly one verdict-cache lookup.
+func TestStreamWorkerCountInvariance(t *testing.T) {
+	const n = 3000
+	script := streamScaleScript(n)
+	cat := product.NewCatalog(sql2003.MustModel(), sql2003.Registry{})
+
+	// The reference: one recovery pass over the whole script, without the
+	// 20-diagnostic cap the stream does not apply.
+	ref, err := cat.Get(mustConfig(t, dialect.Core), core.Options{Product: "core", Parser: parser.Options{MaxDiagnostics: 2 * n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags, _ := json.Marshal(EncodeDiagnostics(ref.Diagnose(script)))
+
+	var first []byte
+	for _, workers := range []int{1, 2, 8} {
+		s := freshServer(t, Config{Catalog: cat, BatchWorkers: workers})
+		addr := startServer(t, s)
+		client := &http.Client{}
+		resp, err := client.Post("http://"+addr+"/v1/stream?dialect=core", "application/sql", struct{ io.Reader }{strings.NewReader(script)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		client.CloseIdleConnections()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers=%d: status %d, %v", workers, resp.StatusCode, err)
+		}
+		body = elapsedField.ReplaceAll(body, nil)
+		if first == nil {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Fatalf("workers=%d: NDJSON body differs from workers=1", workers)
+		}
+
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		if len(lines) != n+1 {
+			t.Fatalf("workers=%d: %d NDJSON lines, want %d records and a summary", workers, len(lines), n)
+		}
+		var got []*Diagnostic
+		off := 0
+		for i, line := range lines[:n] {
+			var rec StreamResult
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Seq != i || rec.Off != off {
+				t.Fatalf("workers=%d: record %d has seq %d at offset %d, want offset %d", workers, i, rec.Seq, rec.Off, off)
+			}
+			off += rec.Bytes
+			got = append(got, rec.Diagnostics...)
+		}
+		if off != len(script) {
+			t.Fatalf("workers=%d: records cover %d of %d bytes", workers, off, len(script))
+		}
+		gotDiags, _ := json.Marshal(got)
+		if !bytes.Equal(gotDiags, wantDiags) {
+			t.Fatalf("workers=%d: streamed diagnostics differ from whole-script Diagnose", workers)
+		}
+		if st := s.vcache.Stats(); st.Hits+st.Misses+st.Shared != n {
+			t.Errorf("workers=%d: verdict cache %+v counts %d lookups, want one per statement (%d)",
+				workers, st, st.Hits+st.Misses+st.Shared, n)
+		}
+	}
+}
+
+// TestStreamClientDisconnectNoLeak: a client that disconnects mid-body
+// ends the stream, its admission slot comes back, and the handler leaves
+// no goroutine behind, the pipeline's workers included.
+func TestStreamClientDisconnectNoLeak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := freshServer(t, Config{BatchWorkers: 4})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/stream?dialect=core", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for i := 0; ; i++ {
+			if _, err := fmt.Fprintf(pw, "SELECT c%d FROM t WHERE d = %d;\n", i, i); err != nil {
+				return
+			}
+		}
+	}()
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Records arrive while the body is still being sent: the stream is
+	// mid-body when the client goes away.
+	if _, err := io.ReadFull(resp.Body, make([]byte, 64<<10)); err != nil {
+		t.Fatalf("reading the first records: %v", err)
+	}
+	cancel()
+	resp.Body.Close()
+	pw.CloseWithError(io.ErrClosedPipe)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.m.inflight.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("disconnected stream never released its admission slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	shutdownCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	if err := s.Shutdown(shutdownCtx); err != nil {
+		t.Fatal(err)
+	}
+	client.CloseIdleConnections()
+	checkNoGoroutineLeak(t, baseline)
 }
