@@ -439,7 +439,7 @@ func e11Engines(n int) {
 		record(string(r.name), "generated", mg, rel)
 		printE11(string(r.name), "generated", mg, rel)
 	}
-	fmt.Println("(generated = pregenerated standalone parser, promoted by catalog fingerprint;")
+	fmt.Println("(generated = pregenerated parser on the shared runtime, promoted by catalog fingerprint;")
 	fmt.Println(" interpreted = packrat interpreter over the composed grammar;")
 	fmt.Println(" VS-INTERP = generated ns/query relative to interpreted, negative is faster)")
 }

@@ -3,7 +3,7 @@
 // through the shared product catalog, with admission control, per-request
 // deadlines, graceful drain on SIGTERM/SIGINT, and built-in telemetry at
 // /metrics (Prometheus text or JSON). Preset dialects serve through their
-// pregenerated standalone parsers (the catalog promotes matching builds;
+// pregenerated parsers (the catalog promotes matching builds;
 // see sqlspl_catalog_promotions_total in /metrics); explicit feature
 // selections serve through the interpreted engine.
 //

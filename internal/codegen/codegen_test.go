@@ -3,6 +3,8 @@ package codegen
 import (
 	"bufio"
 	"fmt"
+	goparser "go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -29,9 +31,9 @@ func TestGenerateMinimalSource(t *testing.T) {
 		"parses production query_specification",
 		`"SELECT":`,
 		`"WHERE":`,
-		`const startSymbol = "query_specification"`,
-		"func parseStart(r *run, pos int)",
-		"var bs0 = bits{",
+		`Start: "query_specification"`,
+		"var bs0 = Bits{",
+		"type Run struct",
 		"func Parse(src string)",
 		"func Accepts(src string)",
 	} {
@@ -52,6 +54,48 @@ func TestGenerateMinimalSource(t *testing.T) {
 			t.Errorf("generated source still contains combinator-era artifact %q", no)
 		}
 	}
+	// The standalone file inlines the runtime: it imports only the
+	// standard library.
+	f, err := goparser.ParseFile(token.NewFileSet(), "parser.go", src, goparser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, im := range f.Imports {
+		if path := strings.Trim(im.Path.Value, `"`); strings.Contains(path, ".") || strings.HasPrefix(path, "sqlspl") {
+			t.Errorf("standalone parser imports non-standard package %s", path)
+		}
+	}
+}
+
+// TestGeneratePackageSharesRuntime: the package form emits the same
+// declarations as the standalone file but imports the runtime instead of
+// declaring it.
+func TestGeneratePackageSharesRuntime(t *testing.T) {
+	p, err := dialect.Build(dialect.Minimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := GeneratePackage(p.Grammar, p.Tokens, "minsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	standalone, err := Generate(p.Grammar, p.Tokens, "minsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(pkg)
+	if !strings.Contains(text, `import . "sqlspl/internal/codegen/rt"`) {
+		t.Error("package form does not import the shared runtime")
+	}
+	for _, no := range []string{"type ", "func (", "func Parse", "func Check"} {
+		if strings.Contains(text, no) {
+			t.Errorf("package form declares %q; it should come from the runtime", no)
+		}
+	}
+	body := text[strings.Index(text, "// product is"):]
+	if !strings.HasSuffix(string(standalone), body) {
+		t.Error("package form's declarations differ from the standalone file's")
+	}
 }
 
 func TestGenerateRejectsInvalidGrammar(t *testing.T) {
@@ -62,23 +106,46 @@ func TestGenerateRejectsInvalidGrammar(t *testing.T) {
 	}
 }
 
-func TestGenerateDefaultPackageName(t *testing.T) {
+// TestGeneratePackageName: the package name must be a Go identifier, and
+// the error names it instead of dumping the generated source; an empty
+// name defaults to sqlparser.
+func TestGeneratePackageName(t *testing.T) {
 	p, err := dialect.Build(dialect.Minimal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(p.Grammar, p.Tokens, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "package sqlparser") {
-		t.Error("default package name not applied")
+	for _, tc := range []struct {
+		pkg    string
+		clause string // "" = rejected
+	}{
+		{pkg: "func"},
+		{pkg: "my-pkg"},
+		{pkg: "1abc"},
+		{pkg: "", clause: "package sqlparser"},
+		{pkg: "minsql", clause: "package minsql"},
+	} {
+		src, err := Generate(p.Grammar, p.Tokens, tc.pkg)
+		if tc.clause == "" {
+			if err == nil {
+				t.Errorf("package name %q accepted", tc.pkg)
+			} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", tc.pkg)) || len(msg) > 200 {
+				t.Errorf("package name %q: error %.300q does not name it briefly", tc.pkg, msg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("package name %q: %v", tc.pkg, err)
+		} else if !strings.Contains(string(src), tc.clause+"\n") {
+			t.Errorf("package name %q: source lacks %q", tc.pkg, tc.clause)
+		}
 	}
 }
 
-// TestGeneratedParserEndToEnd compiles the generated parser with the real
-// Go toolchain and checks that it agrees with the interpreted engine on a
-// query corpus — the generated artifact is a faithful product parser.
+// TestGeneratedParserEndToEnd compiles the standalone parser with the real
+// Go toolchain and checks that it agrees with the interpreted engine: the
+// same Accepts verdict on every input, and the same Check error text on
+// rejected ones. minimal binds 3 of the 8 lexical classes; full binds all
+// of them.
 func TestGeneratedParserEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a generated module; skipped with -short")
@@ -86,16 +153,71 @@ func TestGeneratedParserEndToEnd(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain unavailable")
 	}
+	common := []string{
+		"SELECT a FROM t",
+		"SELECT DISTINCT a FROM t WHERE b = 1",
+		"SELECT ALL a FROM t WHERE b = 'x'",
+		"SELECT a, b FROM t",
+		"SELECT * FROM t",
+		"select a from t where c = 42",
+		`SELECT "a" FROM t WHERE b = 1.5E3`,
+		"SELECT a FROM t WHERE b = X'0F' AND c = :h AND d = ?",
+		"SELECT 'x', 42 FROM t",
+		"SELECT a FROM",                 // end of input
+		"SELECT 'unterminated FROM t",   // unterminated string
+		"SELECT a FROM t WHERE b = 1.5", // numeric class unbound in minimal
+		"SELECT # FROM t",
+		"SELECT a b c FROM t",
+		"SELECT a FROM t )",
+		"nonsense here",
+		"/* unterminated comment",
+	}
+	for _, tc := range []struct {
+		name    dialect.Name
+		classes int
+	}{{dialect.Minimal, 3}, {dialect.Full, 8}} {
+		t.Run(string(tc.name), func(t *testing.T) {
+			p, err := dialect.Build(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := map[string]bool{}
+			for _, d := range p.Tokens.Defs() {
+				if d.Kind == grammar.Class {
+					bound[d.Text] = true
+				}
+			}
+			if len(bound) != tc.classes {
+				t.Fatalf("%s binds %d lexical classes, want %d", tc.name, len(bound), tc.classes)
+			}
+			got := runStandalone(t, p.Grammar, p.Tokens, common)
+			rejected := 0
+			for i, q := range common {
+				want := "ACCEPT\tok"
+				if !p.Accepts(q) {
+					want = "REJECT\t" + p.Check(q).Error()
+					rejected++
+				}
+				if got[i] != want {
+					t.Errorf("%q:\n  generated:   %s\n  interpreted: %s", q, got[i], want)
+				}
+			}
+			if rejected < 5 {
+				t.Errorf("only %d inputs rejected; the corpus must exercise Check's errors", rejected)
+			}
+		})
+	}
+}
 
-	p, err := dialect.Build(dialect.Minimal)
+// runStandalone compiles the standalone parser for g/ts into a throwaway
+// module and returns, per query, "ACCEPT\tok" or "REJECT\t" plus Check's
+// error text.
+func runStandalone(t *testing.T, g *grammar.Grammar, ts *grammar.TokenSet, queries []string) []string {
+	t.Helper()
+	src, err := Generate(g, ts, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(p.Grammar, p.Tokens, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	dir := t.TempDir()
 	write := func(name, content string) {
 		t.Helper()
@@ -117,27 +239,18 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		if Accepts(sc.Text()) {
-			fmt.Println("ACCEPT")
-		} else {
-			fmt.Println("REJECT")
+		q := sc.Text()
+		verdict, msg := "REJECT", "ok"
+		if Accepts(q) {
+			verdict = "ACCEPT"
 		}
+		if err := Check(q); err != nil {
+			msg = err.Error()
+		}
+		fmt.Printf("%s\t%s\n", verdict, msg)
 	}
 }
 `)
-
-	queries := []string{
-		"SELECT a FROM t",
-		"SELECT DISTINCT a FROM t WHERE b = 1",
-		"SELECT ALL a FROM t WHERE b = 'x'",
-		"SELECT a, b FROM t",
-		"SELECT * FROM t",
-		"SELECT a FROM t WHERE b < 1",
-		"SELECT a FROM",
-		"select a from t where c = 42",
-		"nonsense here",
-	}
-
 	cmd := exec.Command("go", "run", ".")
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
@@ -146,23 +259,13 @@ func main() {
 	if err != nil {
 		t.Fatalf("go run failed: %v\n%s", err, out)
 	}
-
 	var got []string
-	scanner := bufio.NewScanner(strings.NewReader(string(out)))
-	for scanner.Scan() {
-		got = append(got, scanner.Text())
+	sc := bufio.NewScanner(strings.NewReader(string(out)))
+	for sc.Scan() {
+		got = append(got, sc.Text())
 	}
 	if len(got) != len(queries) {
 		t.Fatalf("driver produced %d lines, want %d:\n%s", len(got), len(queries), out)
 	}
-	for i, q := range queries {
-		want := "REJECT"
-		if p.Accepts(q) {
-			want = "ACCEPT"
-		}
-		if got[i] != want {
-			t.Errorf("generated parser disagrees on %q: got %s, interpreted %s", q, got[i], want)
-		}
-	}
-	_ = fmt.Sprintf // keep fmt in scope for future edits
+	return got
 }

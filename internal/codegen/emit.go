@@ -13,7 +13,7 @@ import (
 // composed grammar: a pN function per production (memoised, FIRST-predicted),
 // an sN scalar function per deterministic token/nonterminal chain, and eN
 // set functions for composite sub-expressions. FIRST sets become
-// deduplicated package-level bits literals and terminals are interned to
+// deduplicated package-level Bits literals and terminals are interned to
 // dense ids at generation time, so the generated parser has no runtime
 // table-construction step and never compares token names on the hot path.
 //
@@ -159,7 +159,7 @@ func (em *emitter) predictVars(e grammar.Expr) (guard, names string, nullable bo
 	if !ok {
 		bv = fmt.Sprintf("bs%d", len(em.bitsetByKey))
 		em.bitsetByKey[bkey] = bv
-		fmt.Fprintf(&em.vars, "var %s = bits{", bv)
+		fmt.Fprintf(&em.vars, "var %s = Bits{", bv)
 		for i, w := range words {
 			if i > 0 {
 				em.vars.WriteString(", ")
@@ -194,14 +194,14 @@ func (em *emitter) scalarFn(e grammar.Expr) string {
 	var atoms []grammar.Expr
 	flattenSeq(e, &atoms)
 	var w bytes.Buffer
-	fmt.Fprintf(&w, "\n// %s scalar-parses %s\nfunc %s(r *run, pos int) (int, []*Node, bool) {\nvar f []*Node\n", name, exprComment(e), name)
+	fmt.Fprintf(&w, "\n// %s scalar-parses %s\nfunc %s(r *Run, pos int) (int, []*Tree, bool) {\nvar f []*Tree\n", name, exprComment(e), name)
 	for k, a := range atoms {
 		switch x := a.(type) {
 		case grammar.Tok:
-			fmt.Fprintf(&w, "if r.idAt(pos) != %d { // %s\nr.fail(pos, %q)\nreturn 0, nil, false\n}\nf = r.merge(f, r.leafForest(pos))\npos++\n", em.idOf(x.Name), x.Name, x.Name)
+			fmt.Fprintf(&w, "if r.ID(pos) != %d { // %s\nr.Fail(pos, %q)\nreturn 0, nil, false\n}\nf = r.Merge(f, r.LeafForest(pos))\npos++\n", em.idOf(x.Name), x.Name, x.Name)
 		case grammar.NT:
 			v := fmt.Sprintf("q%d", k)
-			fmt.Fprintf(&w, "%s := p%d(r, pos) // %s\nif len(%s) == 0 {\nreturn 0, nil, false\n}\nf = r.merge(f, %s[0].forest)\npos = %s[0].end\n", v, em.prodIdx[x.Name], x.Name, v, v, v)
+			fmt.Fprintf(&w, "%s := p%d(r, pos) // %s\nif len(%s) == 0 {\nreturn 0, nil, false\n}\nf = r.Merge(f, %s[0].Forest)\npos = %s[0].End\n", v, em.prodIdx[x.Name], x.Name, v, v, v)
 		default:
 			panic(fmt.Sprintf("codegen: non-deterministic atom %T in scalar emission", a))
 		}
@@ -219,22 +219,22 @@ func (em *emitter) setAppend(e grammar.Expr, pos, dst string) string {
 	var w bytes.Buffer
 	switch x := e.(type) {
 	case grammar.Tok:
-		fmt.Fprintf(&w, "if r.idAt(%s) == %d { // %s\n%s = append(%s, result{end: %s + 1, forest: r.leafForest(%s)})\n} else {\nr.fail(%s, %q)\n}\n", pos, em.idOf(x.Name), x.Name, dst, dst, pos, pos, pos, x.Name)
+		fmt.Fprintf(&w, "if r.ID(%s) == %d { // %s\n%s = append(%s, Result{End: %s + 1, Forest: r.LeafForest(%s)})\n} else {\nr.Fail(%s, %q)\n}\n", pos, em.idOf(x.Name), x.Name, dst, dst, pos, pos, pos, x.Name)
 		return w.String()
 	case grammar.NT:
 		fmt.Fprintf(&w, "%s = append(%s, p%d(r, %s)...) // %s\n", dst, dst, em.prodIdx[x.Name], pos, x.Name)
 		return w.String()
 	}
 	if em.detExpr(e) {
-		fmt.Fprintf(&w, "if end, bf, ok := %s(r, %s); ok {\n%s = append(%s, result{end: end, forest: bf})\n}\n", em.scalarFn(e), pos, dst, dst)
+		fmt.Fprintf(&w, "if end, bf, ok := %s(r, %s); ok {\n%s = append(%s, Result{End: end, Forest: bf})\n}\n", em.scalarFn(e), pos, dst, dst)
 		return w.String()
 	}
 	if st, ok := e.(grammar.Star); ok && !em.detExpr(st.Body) {
-		fmt.Fprintf(&w, "%s = r.repeat(%s, true, %s, %s)\n", dst, pos, dst, em.setFn(st.Body))
+		fmt.Fprintf(&w, "%s = r.Repeat(%s, true, %s, %s)\n", dst, pos, dst, em.setFn(st.Body))
 		return w.String()
 	}
 	if pl, ok := e.(grammar.Plus); ok && !em.detExpr(pl.Body) {
-		fmt.Fprintf(&w, "%s = r.repeat(%s, false, %s, %s)\n", dst, pos, dst, em.setFn(pl.Body))
+		fmt.Fprintf(&w, "%s = r.Repeat(%s, false, %s, %s)\n", dst, pos, dst, em.setFn(pl.Body))
 		return w.String()
 	}
 	fmt.Fprintf(&w, "%s = %s(r, %s, %s)\n", dst, em.setFn(e), pos, dst)
@@ -247,7 +247,7 @@ func (em *emitter) setFn(e grammar.Expr) string {
 	em.setN++
 	body := em.setFnBody(e)
 	var w bytes.Buffer
-	fmt.Fprintf(&w, "\n// %s set-parses %s\nfunc %s(r *run, pos int, dst []result) []result {\n%s}\n", name, exprComment(e), name, body)
+	fmt.Fprintf(&w, "\n// %s set-parses %s\nfunc %s(r *Run, pos int, dst []Result) []Result {\n%s}\n", name, exprComment(e), name, body)
 	em.subs.Write(w.Bytes())
 	return name
 }
@@ -300,14 +300,14 @@ func (em *emitter) seqBody(w *bytes.Buffer, items []grammar.Expr) {
 	for _, it := range items[:k] {
 		flattenSeq(it, &atoms)
 	}
-	w.WriteString("p := pos\nvar f []*Node\n")
+	w.WriteString("p := pos\nvar f []*Tree\n")
 	for ai, a := range atoms {
 		switch x := a.(type) {
 		case grammar.Tok:
-			fmt.Fprintf(w, "if r.idAt(p) != %d { // %s\nr.fail(p, %q)\nreturn dst\n}\nf = r.merge(f, r.leafForest(p))\np++\n", em.idOf(x.Name), x.Name, x.Name)
+			fmt.Fprintf(w, "if r.ID(p) != %d { // %s\nr.Fail(p, %q)\nreturn dst\n}\nf = r.Merge(f, r.LeafForest(p))\np++\n", em.idOf(x.Name), x.Name, x.Name)
 		case grammar.NT:
 			v := fmt.Sprintf("q%d", ai)
-			fmt.Fprintf(w, "%s := p%d(r, p) // %s\nif len(%s) == 0 {\nreturn dst\n}\nf = r.merge(f, %s[0].forest)\np = %s[0].end\n", v, em.prodIdx[x.Name], x.Name, v, v, v)
+			fmt.Fprintf(w, "%s := p%d(r, p) // %s\nif len(%s) == 0 {\nreturn dst\n}\nf = r.Merge(f, %s[0].Forest)\np = %s[0].End\n", v, em.prodIdx[x.Name], x.Name, v, v, v)
 		}
 	}
 	needTmp := false
@@ -316,11 +316,11 @@ func (em *emitter) seqBody(w *bytes.Buffer, items []grammar.Expr) {
 			needTmp = true
 		}
 	}
-	w.WriteString("cur := r.getScratch()\nnext := r.getScratch()\n")
+	w.WriteString("cur := r.GetScratch()\nnext := r.GetScratch()\n")
 	if needTmp {
-		w.WriteString("tmp := r.getScratch()\n")
+		w.WriteString("tmp := r.GetScratch()\n")
 	}
-	w.WriteString("cur = append(cur, result{end: p, forest: f})\n")
+	w.WriteString("cur = append(cur, Result{End: p, Forest: f})\n")
 	for _, it := range items[k:] {
 		fmt.Fprintf(w, "if len(cur) != 0 { // %s\nnext = next[:0]\n", exprComment(it))
 		em.seqItem(w, it)
@@ -328,9 +328,9 @@ func (em *emitter) seqBody(w *bytes.Buffer, items []grammar.Expr) {
 	}
 	w.WriteString("dst = append(dst, cur...)\n")
 	if needTmp {
-		w.WriteString("r.putScratch(tmp)\n")
+		w.WriteString("r.PutScratch(tmp)\n")
 	}
-	w.WriteString("r.putScratch(next)\nr.putScratch(cur)\nreturn dst\n")
+	w.WriteString("r.PutScratch(next)\nr.PutScratch(cur)\nreturn dst\n")
 }
 
 // seqItem advances every result in cur through one sequence item into next,
@@ -338,31 +338,31 @@ func (em *emitter) seqBody(w *bytes.Buffer, items []grammar.Expr) {
 func (em *emitter) seqItem(w *bytes.Buffer, it grammar.Expr) {
 	switch x := it.(type) {
 	case grammar.Tok:
-		fmt.Fprintf(w, "for _, c := range cur {\nif r.idAt(c.end) == %d {\nif !hasEnd(next, c.end+1) {\nnext = append(next, result{end: c.end + 1, forest: r.merge(c.forest, r.leafForest(c.end))})\n}\n} else {\nr.fail(c.end, %q)\n}\n}\n", em.idOf(x.Name), x.Name)
+		fmt.Fprintf(w, "for _, c := range cur {\nif r.ID(c.End) == %d {\nif !HasEnd(next, c.End+1) {\nnext = append(next, Result{End: c.End + 1, Forest: r.Merge(c.Forest, r.LeafForest(c.End))})\n}\n} else {\nr.Fail(c.End, %q)\n}\n}\n", em.idOf(x.Name), x.Name)
 		return
 	case grammar.NT:
-		fmt.Fprintf(w, "for _, c := range cur {\nfor _, res := range p%d(r, c.end) {\nif hasEnd(next, res.end) {\ncontinue\n}\nnext = append(next, result{end: res.end, forest: r.merge(c.forest, res.forest)})\n}\n}\n", em.prodIdx[x.Name])
+		fmt.Fprintf(w, "for _, c := range cur {\nfor _, res := range p%d(r, c.End) {\nif HasEnd(next, res.End) {\ncontinue\n}\nnext = append(next, Result{End: res.End, Forest: r.Merge(c.Forest, res.Forest)})\n}\n}\n", em.prodIdx[x.Name])
 		return
 	}
 	if em.detExpr(it) {
-		fmt.Fprintf(w, "for _, c := range cur {\nif end, bf, ok := %s(r, c.end); ok && !hasEnd(next, end) {\nnext = append(next, result{end: end, forest: r.merge(c.forest, bf)})\n}\n}\n", em.scalarFn(it))
+		fmt.Fprintf(w, "for _, c := range cur {\nif end, bf, ok := %s(r, c.End); ok && !HasEnd(next, end) {\nnext = append(next, Result{End: end, Forest: r.Merge(c.Forest, bf)})\n}\n}\n", em.scalarFn(it))
 		return
 	}
 	call := ""
 	switch y := it.(type) {
 	case grammar.Star:
 		if !em.detExpr(y.Body) {
-			call = fmt.Sprintf("r.repeat(c.end, true, tmp[:0], %s)", em.setFn(y.Body))
+			call = fmt.Sprintf("r.Repeat(c.End, true, tmp[:0], %s)", em.setFn(y.Body))
 		}
 	case grammar.Plus:
 		if !em.detExpr(y.Body) {
-			call = fmt.Sprintf("r.repeat(c.end, false, tmp[:0], %s)", em.setFn(y.Body))
+			call = fmt.Sprintf("r.Repeat(c.End, false, tmp[:0], %s)", em.setFn(y.Body))
 		}
 	}
 	if call == "" {
-		call = fmt.Sprintf("%s(r, c.end, tmp[:0])", em.setFn(it))
+		call = fmt.Sprintf("%s(r, c.End, tmp[:0])", em.setFn(it))
 	}
-	fmt.Fprintf(w, "for _, c := range cur {\ntmp = %s\nfor _, res := range tmp {\nif hasEnd(next, res.end) {\ncontinue\n}\nnext = append(next, result{end: res.end, forest: r.merge(c.forest, res.forest)})\n}\n}\n", call)
+	fmt.Fprintf(w, "for _, c := range cur {\ntmp = %s\nfor _, res := range tmp {\nif HasEnd(next, res.End) {\ncontinue\n}\nnext = append(next, Result{End: res.End, Forest: r.Merge(c.Forest, res.Forest)})\n}\n}\n", call)
 }
 
 // choiceBody unrolls a nested choice with per-alternative FIRST prediction,
@@ -383,22 +383,22 @@ func (em *emitter) choiceBody(w *bytes.Buffer, alts []grammar.Expr) {
 	}
 	w.WriteString("start := len(dst)\n")
 	if needLa {
-		w.WriteString("la := r.idAt(pos)\n")
+		w.WriteString("la := r.ID(pos)\n")
 	}
 	for i, a := range alts {
 		fmt.Fprintf(w, "// alt %d: %s\n", i, exprComment(a))
 		if preds[i].nullable {
 			w.WriteString("{\n")
 		} else {
-			fmt.Fprintf(w, "if %s.has(la) {\n", preds[i].guard)
+			fmt.Fprintf(w, "if %s.Has(la) {\n", preds[i].guard)
 		}
 		w.WriteString("altStart := len(dst)\n")
 		w.WriteString(em.setAppend(a, "pos", "dst"))
-		w.WriteString("keep := altStart\nfor i := altStart; i < len(dst); i++ {\nif hasEnd(dst[start:keep], dst[i].end) {\ncontinue\n}\ndst[keep] = dst[i]\nkeep++\n}\ndst = dst[:keep]\n")
+		w.WriteString("keep := altStart\nfor i := altStart; i < len(dst); i++ {\nif HasEnd(dst[start:keep], dst[i].End) {\ncontinue\n}\ndst[keep] = dst[i]\nkeep++\n}\ndst = dst[:keep]\n")
 		if preds[i].nullable {
 			w.WriteString("}\n")
 		} else {
-			fmt.Fprintf(w, "} else {\nr.predictMiss(pos, %s)\n}\n", preds[i].names)
+			fmt.Fprintf(w, "} else {\nr.PredictMiss(pos, %s)\n}\n", preds[i].names)
 		}
 	}
 	w.WriteString("return dst\n")
@@ -409,7 +409,7 @@ func (em *emitter) choiceBody(w *bytes.Buffer, alts []grammar.Expr) {
 func (em *emitter) optBody(w *bytes.Buffer, body grammar.Expr) {
 	w.WriteString("start := len(dst)\n")
 	w.WriteString(em.setAppend(body, "pos", "dst"))
-	w.WriteString("if hasEnd(dst[start:], pos) {\nreturn dst\n}\nreturn append(dst, result{end: pos})\n")
+	w.WriteString("if HasEnd(dst[start:], pos) {\nreturn dst\n}\nreturn append(dst, Result{End: pos})\n")
 }
 
 // repeatBody emits Star/Plus. A deterministic body yields at most one
@@ -421,22 +421,14 @@ func (em *emitter) repeatBody(w *bytes.Buffer, body grammar.Expr, allowEmpty boo
 		fn := em.scalarFn(body)
 		w.WriteString("start := len(dst)\n")
 		if allowEmpty {
-			w.WriteString("dst = append(dst, result{end: pos})\n")
+			w.WriteString("dst = append(dst, Result{End: pos})\n")
 		}
-		w.WriteString("p := pos\nvar f []*Node\nfor {\n")
+		w.WriteString("p := pos\nvar f []*Tree\nfor {\n")
 		fmt.Fprintf(w, "end, bf, ok := %s(r, p)\nif !ok || end <= p {\nbreak\n}\n", fn)
-		w.WriteString("f = r.merge(f, bf)\ndst = append(dst, result{end: end, forest: f})\np = end\n}\nsortByEndDesc(dst[start:])\nreturn dst\n")
+		w.WriteString("f = r.Merge(f, bf)\ndst = append(dst, Result{End: end, Forest: f})\np = end\n}\nSortByEndDesc(dst[start:])\nreturn dst\n")
 		return
 	}
-	fmt.Fprintf(w, "return r.repeat(pos, %v, dst, %s)\n", allowEmpty, em.setFn(body))
-}
-
-// emitMeta writes the production-count constant, the start symbol, and the
-// parseStart entry point the runtime drives.
-func (em *emitter) emitMeta(b *bytes.Buffer) {
-	fmt.Fprintf(b, "\n// numProds is the production count; begin sizes the flat memo from it.\nconst numProds = %d\n", em.g.Len())
-	fmt.Fprintf(b, "\n// startSymbol is the product grammar's start symbol.\nconst startSymbol = %q\n", em.g.Start)
-	fmt.Fprintf(b, "\n// parseStart parses the start production %s.\nfunc parseStart(r *run, pos int) []result {\n\treturn p%d(r, pos)\n}\n", em.g.Start, em.prodIdx[em.g.Start])
+	fmt.Fprintf(w, "return r.Repeat(pos, %v, dst, %s)\n", allowEmpty, em.setFn(body))
 }
 
 // emitProductions writes one pN function per production into em.prods,
@@ -470,13 +462,13 @@ func (em *emitter) emitProduction(i int, p *grammar.Production) {
 	}
 	single := len(alts) == 1
 	w := &em.prods
-	fmt.Fprintf(w, "\n// p%d parses production %s.\nfunc p%d(r *run, pos int) []result {\n", i, p.Name, i)
-	fmt.Fprintf(w, "slot := %d*r.width + pos\nif e := r.memo[slot]; e.gen == r.gen {\nreturn r.results[e.off : e.off+e.n]\n}\nout := r.getScratch()\n", i)
+	fmt.Fprintf(w, "\n// p%d parses production %s.\nfunc p%d(r *Run, pos int) []Result {\n", i, p.Name, i)
+	fmt.Fprintf(w, "slot, memo, hit := r.Memo(%d, pos)\nif hit {\nreturn memo\n}\nout := r.GetScratch()\n", i)
 	if needTmp {
-		w.WriteString("tmp := r.getScratch()\n")
+		w.WriteString("tmp := r.GetScratch()\n")
 	}
 	if needLa {
-		w.WriteString("la := r.idAt(pos)\n")
+		w.WriteString("la := r.ID(pos)\n")
 	}
 	for j, a := range alts {
 		if !single {
@@ -484,22 +476,20 @@ func (em *emitter) emitProduction(i int, p *grammar.Production) {
 		}
 		guarded := infos[j].guard != ""
 		if guarded {
-			fmt.Fprintf(w, "if %s.has(la) {\n", infos[j].guard)
+			fmt.Fprintf(w, "if %s.Has(la) {\n", infos[j].guard)
 		}
 		em.prodAlt(w, p.Name, a, infos[j].det, single)
 		if guarded {
-			fmt.Fprintf(w, "} else {\nr.predictMiss(pos, %s)\n}\n", infos[j].names)
+			fmt.Fprintf(w, "} else {\nr.PredictMiss(pos, %s)\n}\n", infos[j].names)
 		}
 	}
 	if !(single && infos[0].det) {
-		w.WriteString("sortByEndDesc(out)\n")
+		w.WriteString("SortByEndDesc(out)\n")
 	}
-	w.WriteString("off := int32(len(r.results))\nr.results = append(r.results, out...)\nn := int32(len(out))\n")
 	if needTmp {
-		w.WriteString("r.putScratch(tmp)\n")
+		w.WriteString("r.PutScratch(tmp)\n")
 	}
-	w.WriteString("r.putScratch(out)\n")
-	w.WriteString("r.memo[slot] = memoEntry{gen: r.gen, off: off, n: n}\nreturn r.results[off : off+n]\n}\n")
+	w.WriteString("return r.Memoize(slot, out)\n}\n")
 }
 
 // prodAlt emits one top-level alternative's contribution to out, wrapping
@@ -508,39 +498,39 @@ func (em *emitter) emitProduction(i int, p *grammar.Production) {
 // needed: a single alternative's ends are already distinct).
 func (em *emitter) prodAlt(w *bytes.Buffer, name string, a grammar.Expr, det, single bool) {
 	if det {
-		cond := "ok && !hasEnd(out, end)"
+		cond := "ok && !HasEnd(out, end)"
 		if single {
 			cond = "ok"
 		}
-		fmt.Fprintf(w, "if end, bf, ok := %s(r, pos); %s {\nout = append(out, result{end: end, forest: r.nodeForest(%q, bf)})\n}\n", em.scalarFn(a), cond, name)
+		fmt.Fprintf(w, "if end, bf, ok := %s(r, pos); %s {\nout = append(out, Result{End: end, Forest: r.NodeForest(%q, bf)})\n}\n", em.scalarFn(a), cond, name)
 		return
 	}
 	if single {
 		w.WriteString(em.setAppend(a, "pos", "out"))
-		fmt.Fprintf(w, "if r.buildTrees {\nfor k := range out {\nout[k].forest = r.nodeForest(%q, out[k].forest)\n}\n}\n", name)
+		fmt.Fprintf(w, "r.WrapAll(%q, out)\n", name)
 		return
 	}
 	switch x := a.(type) {
 	case grammar.Tok:
-		fmt.Fprintf(w, "if r.idAt(pos) == %d { // %s\nif !hasEnd(out, pos+1) {\nout = append(out, result{end: pos + 1, forest: r.nodeForest(%q, r.leafForest(pos))})\n}\n} else {\nr.fail(pos, %q)\n}\n", em.idOf(x.Name), x.Name, name, x.Name)
+		fmt.Fprintf(w, "if r.ID(pos) == %d { // %s\nif !HasEnd(out, pos+1) {\nout = append(out, Result{End: pos + 1, Forest: r.NodeForest(%q, r.LeafForest(pos))})\n}\n} else {\nr.Fail(pos, %q)\n}\n", em.idOf(x.Name), x.Name, name, x.Name)
 		return
 	case grammar.NT:
-		fmt.Fprintf(w, "for _, res := range p%d(r, pos) { // %s\nif hasEnd(out, res.end) {\ncontinue\n}\nout = append(out, result{end: res.end, forest: r.nodeForest(%q, res.forest)})\n}\n", em.prodIdx[x.Name], x.Name, name)
+		fmt.Fprintf(w, "for _, res := range p%d(r, pos) { // %s\nif HasEnd(out, res.End) {\ncontinue\n}\nout = append(out, Result{End: res.End, Forest: r.NodeForest(%q, res.Forest)})\n}\n", em.prodIdx[x.Name], x.Name, name)
 		return
 	}
 	call := ""
 	switch y := a.(type) {
 	case grammar.Star:
 		if !em.detExpr(y.Body) {
-			call = fmt.Sprintf("r.repeat(pos, true, tmp[:0], %s)", em.setFn(y.Body))
+			call = fmt.Sprintf("r.Repeat(pos, true, tmp[:0], %s)", em.setFn(y.Body))
 		}
 	case grammar.Plus:
 		if !em.detExpr(y.Body) {
-			call = fmt.Sprintf("r.repeat(pos, false, tmp[:0], %s)", em.setFn(y.Body))
+			call = fmt.Sprintf("r.Repeat(pos, false, tmp[:0], %s)", em.setFn(y.Body))
 		}
 	}
 	if call == "" {
 		call = fmt.Sprintf("%s(r, pos, tmp[:0])", em.setFn(a))
 	}
-	fmt.Fprintf(w, "tmp = %s\nfor _, res := range tmp {\nif hasEnd(out, res.end) {\ncontinue\n}\nout = append(out, result{end: res.end, forest: r.nodeForest(%q, res.forest)})\n}\n", call, name)
+	fmt.Fprintf(w, "tmp = %s\nfor _, res := range tmp {\nif HasEnd(out, res.End) {\ncontinue\n}\nout = append(out, Result{End: res.End, Forest: r.NodeForest(%q, res.Forest)})\n}\n", call, name)
 }

@@ -21,23 +21,23 @@ var warmQueries = map[string]string{
 	"full":      "SELECT a FROM t WHERE b = 1 GROUP BY a HAVING COUNT(a) > 1",
 }
 
-// TestGeneratedParseAllocationBudget pins the tree path: slab-allocated
-// nodes and child lists hand off with the returned tree, so a warm Parse
-// costs a handful of chunk allocations plus the three bulk slabs of the
-// seam's Node→Tree conversion — within a few allocs of the interpreter,
-// not the hundreds a per-node copy would cost. Budgets are measured
-// steady-state values with small headroom.
+// TestGeneratedParseAllocationBudget pins the tree path: the runtime
+// builds the seam's Tree nodes and child lists directly in slabs that hand
+// off with the returned tree, so a warm Parse costs only the chunks that
+// back the tree and its token buffer — not the hundreds of allocations a
+// per-node copy would cost. Budgets are measured steady-state values plus
+// 2.
 func TestGeneratedParseAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	budgets := map[string]float64{
-		"minimal":   12,
-		"tinysql":   13,
-		"scql":      12,
-		"core":      14,
-		"warehouse": 13,
-		"full":      14,
+		"minimal":   8,
+		"tinysql":   9,
+		"scql":      8,
+		"core":      10,
+		"warehouse": 9,
+		"full":      10,
 	}
 	for _, name := range dialect.Names() {
 		gen, _ := enginePair(t, name)

@@ -7,13 +7,14 @@
 // Two engine kinds exist. The interpreted engine wraps a *core.Product and
 // drives the packrat interpreter in internal/parser — it serves any
 // feature configuration. The generated engine serves exactly one product:
-// a standalone parser emitted by internal/codegen for a shipped preset,
-// registered at init time under the product's catalog fingerprint. The
-// catalog auto-promotes a product to its generated engine when the
-// fingerprint matches; everything else falls back to interpreted, so
-// arbitrary configurations keep working while preset traffic rides the
-// specialized artifact — the paper's generated-parser-per-product stance
-// made operational.
+// a parser emitted by internal/codegen for a shipped preset, running on
+// the shared generated-parser runtime (internal/codegen/rt) and registered
+// at init time under the product's catalog fingerprint. The catalog
+// auto-promotes a product to its generated engine when the fingerprint
+// matches; everything else falls back to interpreted, so arbitrary
+// configurations keep working while preset traffic rides the specialized
+// artifact — the paper's generated-parser-per-product stance made
+// operational.
 //
 // # Staleness
 //
@@ -54,8 +55,8 @@ const (
 	// Interpreted engines drive the packrat interpreter over the composed
 	// grammar; they serve any feature configuration.
 	KindInterpreted Kind = "interpreted"
-	// Generated engines are standalone parsers emitted by internal/codegen
-	// and compiled into the binary; they serve exactly one product.
+	// Generated engines are parsers emitted by internal/codegen and
+	// compiled into the binary; they serve exactly one product.
 	KindGenerated Kind = "generated"
 )
 
@@ -140,8 +141,9 @@ func GrammarHash(g *grammar.Grammar, ts *grammar.TokenSet) string {
 }
 
 // Generated describes one registered build-time parser. The function
-// fields adapt the generated package's exported API (package-local Node
-// and error types) to the seam's shared types.
+// fields are the generated parser's entry points on the shared runtime
+// (internal/codegen/rt), whose tree and error types are the seam's own:
+// parser.Tree, parser.SyntaxError and lexer.Error alias them.
 type Generated struct {
 	// Preset names the dialect the parser was generated for.
 	Preset string

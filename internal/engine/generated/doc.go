@@ -1,7 +1,10 @@
 // Package generated holds the pregenerated parsers for the shipped preset
 // dialects — one subpackage per preset, emitted by internal/codegen and
 // registered with the engine seam (internal/engine) at init time under the
-// preset's catalog fingerprint.
+// preset's catalog fingerprint. Each subpackage holds only its product's
+// data and code: parser.go has the rt.Parser tables and the emitted parse
+// functions, which run on the shared runtime (internal/codegen/rt), and
+// register.go has the fingerprint, the grammar hash and the registration.
 //
 // Import this package (blank) to link every preset's generated parser into
 // a binary; the product catalog then auto-promotes matching products to

@@ -1,4 +1,6 @@
-// Package lexer provides the SQL scanner used by generated parsers.
+// Package lexer provides the configurable SQL scanner behind the
+// interpreted engine, statement recovery and streaming. (Generated parsers
+// scan with the equivalent table-driven scanner in internal/codegen/rt.)
 //
 // The paper separates grammars from token files and composes both; the
 // scanner is therefore *configurable*: it is constructed from a composed
@@ -22,48 +24,13 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 )
 
-// Token is one scanned lexical element.
-type Token struct {
-	// Name is the terminal name from the token set (SELECT, IDENTIFIER, …).
-	Name string
-	// Text is the raw source text of the token.
-	Text string
-	// Line and Col are 1-based source coordinates of the token start.
-	Line, Col int
-	// Off and End are the token's byte-offset span in the scanned source:
-	// src[Off:End] is exactly Text. Diagnostics use the span to anchor caret
-	// excerpts and wire-format positions without re-deriving offsets from
-	// line/column arithmetic.
-	Off, End int
-}
-
-// EndPos returns the 1-based line/column of the first position after the
-// token — where the input continues. Computed from the token's own text, so
-// it needs no source or line index; multi-line tokens (string literals with
-// embedded newlines) are handled.
-func (t Token) EndPos() (line, col int) {
-	line, col = t.Line, t.Col
-	for i := 0; i < len(t.Text); i++ {
-		if t.Text[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
-}
-
-// String formats the token for diagnostics.
-func (t Token) String() string {
-	if strings.EqualFold(t.Name, t.Text) {
-		return t.Name
-	}
-	return fmt.Sprintf("%s(%q)", t.Name, t.Text)
-}
+// Token is one scanned lexical element. It is the runtime's token type
+// (package rt), shared with the generated parsers.
+type Token = rt.Token
 
 // Class names understood by the scanner. A token set may bind any terminal
 // name to one of these classes (e.g. IDENTIFIER : <identifier> ;).
@@ -169,25 +136,9 @@ func validClass(name string) bool {
 	return false
 }
 
-// Error is a scan error with source position.
-type Error struct {
-	// Line and Col are the 1-based coordinates of the offending lexeme's
-	// start (for unterminated quotes, the opening token, not end of input).
-	Line, Col int
-	// Off is the byte offset of that same position.
-	Off int
-	// Resume is the scanner's byte position when the error was raised — the
-	// earliest offset at which a recovering caller could restart scanning.
-	// For an unexpected character it equals Off; for unterminated quotes and
-	// comments it is where the input ran out.
-	Resume int
-	Msg    string
-}
-
-// Error implements error.
-func (e *Error) Error() string {
-	return fmt.Sprintf("lex error at %d:%d: %s", e.Line, e.Col, e.Msg)
-}
+// Error is a scan error with source position; it is the runtime's scan
+// error type (package rt), which the generated parsers return too.
+type Error = rt.ScanError
 
 // Scan tokenizes src completely. SQL comments (-- line and /* block */) and
 // whitespace are skipped. Keywords are matched case-insensitively; a word

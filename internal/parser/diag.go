@@ -5,18 +5,16 @@ import (
 	"sort"
 	"strings"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 	"sqlspl/internal/lexer"
 )
 
 // Span locates a source region by byte offsets plus the 1-based line and
-// column of its start. Start and End are offsets into the original source
-// string (End exclusive); Start == End marks a point, which is how
-// end-of-input diagnostics are addressed.
-type Span struct {
-	Start, End int
-	Line, Col  int
-}
+// column of its start; Start == End marks a point, which is how
+// end-of-input diagnostics are addressed. It is the runtime's type
+// (package rt).
+type Span = rt.Span
 
 // Diagnostic is one recovered scan or parse failure in a script. A
 // statement-recovery pass (Parser.ParseRecover) returns a slice of them,

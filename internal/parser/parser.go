@@ -42,10 +42,10 @@ package parser
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 	"sqlspl/internal/lexer"
 )
@@ -95,98 +95,11 @@ func HotCounters() Counters {
 	}
 }
 
-// Tree is a node of the concrete parse tree. Nodes carrying a production
-// name (Label) wrap the material derived by that production; leaves carry
-// the scanned token. This labelled tree is what semantic actions (package
-// ast) consume — the analog of the paper's Jak-implemented actions over
-// generated parser output.
-type Tree struct {
-	// Label is the production (nonterminal) name, empty for token leaves.
-	Label string
-	// Token is set on leaves only.
-	Token *lexer.Token
-	// Children are the sub-derivations, in input order.
-	Children []*Tree
-}
-
-// IsLeaf reports whether the node is a token leaf.
-func (t *Tree) IsLeaf() bool { return t.Token != nil }
-
-// Find returns the first child (depth-first, pre-order, not including t
-// itself) labelled with the given production name, or nil.
-func (t *Tree) Find(label string) *Tree {
-	for _, c := range t.Children {
-		if c.Label == label {
-			return c
-		}
-		if found := c.Find(label); found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
-// FindAll returns all descendants with the given label in pre-order,
-// without descending into matches (so nested same-labelled constructs,
-// e.g. subqueries, are returned once at their outermost position).
-func (t *Tree) FindAll(label string) []*Tree {
-	var out []*Tree
-	for _, c := range t.Children {
-		if c.Label == label {
-			out = append(out, c)
-			continue
-		}
-		out = append(out, c.FindAll(label)...)
-	}
-	return out
-}
-
-// Leaves returns the tokens under t in input order.
-func (t *Tree) Leaves() []lexer.Token {
-	var out []lexer.Token
-	var walk func(n *Tree)
-	walk = func(n *Tree) {
-		if n.Token != nil {
-			out = append(out, *n.Token)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(t)
-	return out
-}
-
-// Text reconstructs the source text of the subtree, tokens joined by
-// single spaces.
-func (t *Tree) Text() string {
-	leaves := t.Leaves()
-	parts := make([]string, len(leaves))
-	for i, tok := range leaves {
-		parts[i] = tok.Text
-	}
-	return strings.Join(parts, " ")
-}
-
-// Dump renders the tree with indentation for debugging and the sqlparse CLI.
-func (t *Tree) Dump() string {
-	var b strings.Builder
-	var walk func(n *Tree, depth int)
-	walk = func(n *Tree, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		if n.Token != nil {
-			fmt.Fprintf(&b, "%s\n", n.Token)
-			return
-		}
-		fmt.Fprintf(&b, "%s\n", n.Label)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(t, 0)
-	return b.String()
-}
+// Tree is a node of the concrete parse tree: a production node (Label
+// set) or a token leaf. It is the runtime's tree type (package rt), so
+// generated and interpreted parsers return the same trees; semantic
+// actions (package ast) consume it.
+type Tree = rt.Tree
 
 // Options tunes the engine. The zero value is the production configuration.
 type Options struct {
@@ -254,30 +167,11 @@ func (p *Parser) Grammar() *grammar.Grammar { return p.g }
 // Lexer returns the configured scanner (shared, concurrency-safe).
 func (p *Parser) Lexer() *lexer.Lexer { return p.lex }
 
-// SyntaxError reports a parse failure at the farthest position reached.
-type SyntaxError struct {
-	// Line and Col locate the offending token — or, at end of input, the
-	// position just past the last token.
-	Line, Col int
-	// Span is the byte-offset region of the offending token in the source
-	// (a point at end of input).
-	Span Span
-	// Found is the unexpected token, or "end of input".
-	Found string
-	// Expected lists display names of the tokens that would have allowed
-	// progress: keyword spellings upper-cased, punctuation quoted,
-	// deduplicated across aliases, internal names dropped.
-	Expected []string
-}
-
-// Error implements error.
-func (e *SyntaxError) Error() string {
-	exp := ""
-	if len(e.Expected) > 0 {
-		exp = fmt.Sprintf(", expected one of: %s", strings.Join(e.Expected, ", "))
-	}
-	return fmt.Sprintf("syntax error at %d:%d: unexpected %s%s", e.Line, e.Col, e.Found, exp)
-}
+// SyntaxError reports a parse failure at the farthest position reached:
+// the offending token (or the point past the last token at end of input)
+// and the display names of the tokens that would have allowed progress.
+// It is the runtime's type (package rt), shared with generated parsers.
+type SyntaxError = rt.SyntaxError
 
 // Parse scans and parses src, returning the parse tree rooted at the
 // grammar's start symbol. The whole input must be consumed. The returned
