@@ -13,6 +13,7 @@ import (
 
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/grammar"
+	"sqlspl/internal/lexer"
 )
 
 func TestGenerateMinimalSource(t *testing.T) {
@@ -103,6 +104,31 @@ func TestGenerateRejectsInvalidGrammar(t *testing.T) {
 	ts := grammar.NewTokenSet("bad")
 	if _, err := Generate(g, ts, "x"); err == nil {
 		t.Error("invalid grammar accepted")
+	}
+}
+
+// TestGenerateRejectsInvalidTokenSet: a token set the scanner cannot be
+// built from is rejected with the lexer's own error, not emitted as a
+// parser that misbehaves or does not compile.
+func TestGenerateRejectsInvalidTokenSet(t *testing.T) {
+	for _, tc := range []struct{ name, grammar, tokens string }{
+		{"unknown class", `grammar g ; s : X ;`, `tokens t ; X : <no_such_class> ;`},
+		{"keyword bound twice", `grammar g ; s : A | B ;`, `tokens t ; A : 'GO' ; B : 'go' ;`},
+		{"class bound twice", `grammar g ; s : I J ;`, `tokens t ; I : <identifier> ; J : <identifier> ;`},
+	} {
+		g := grammar.MustParseGrammar(tc.grammar)
+		ts := grammar.MustParseTokens(tc.tokens)
+		_, lexErr := lexer.New(ts)
+		if lexErr == nil {
+			t.Fatalf("%s: lexer accepted the token set", tc.name)
+		}
+		for form, gen := range map[string]func(*grammar.Grammar, *grammar.TokenSet, string) ([]byte, error){
+			"Generate": Generate, "GeneratePackage": GeneratePackage,
+		} {
+			if _, err := gen(g, ts, "x"); err == nil || err.Error() != lexErr.Error() {
+				t.Errorf("%s: %s error = %v, want the lexer's %q", tc.name, form, err, lexErr)
+			}
+		}
 	}
 }
 

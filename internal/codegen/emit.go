@@ -18,8 +18,8 @@ import (
 // table-construction step and never compares token names on the hot path.
 //
 // The emitted code is behaviourally identical to the interpreted engine: it
-// replays parseNT / parseExpr / parseRepeat (internal/parser) with the
-// grammar constant-folded into the control flow — per-alternative predict
+// replays parseNT / parseExpr (internal/parser) with the grammar
+// constant-folded into the control flow — per-alternative predict
 // bitsets, inlined token-id matches, hoisted single-alternative
 // productions, and scalar position threading wherever an expression can
 // yield at most one result.
@@ -27,8 +27,10 @@ type emitter struct {
 	g       *grammar.Grammar
 	an      *grammar.Analysis
 	prodIdx map[string]int
-	tokID   map[string]int32
-	words   int
+	// refs are the referenced terminals; a terminal's id is its index.
+	refs  []string
+	tokID map[string]int32
+	words int
 	// det marks productions with a single alternative whose body is a
 	// deterministic chain (tokens, det nonterminals, sequences thereof):
 	// such productions yield at most one result and parse scalar-style.
@@ -57,11 +59,11 @@ func newEmitter(g *grammar.Grammar) *emitter {
 	for i, p := range g.Productions() {
 		em.prodIdx[p.Name] = i
 	}
-	refs := g.ReferencedTokens()
-	for i, t := range refs {
+	em.refs = g.ReferencedTokens()
+	for i, t := range em.refs {
 		em.tokID[t] = int32(i)
 	}
-	em.words = (len(refs) + 63) / 64
+	em.words = (len(em.refs) + 63) / 64
 	if em.words == 0 {
 		em.words = 1
 	}

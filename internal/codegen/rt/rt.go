@@ -1,12 +1,19 @@
-// Package rt is the runtime every generated parser runs on: the scanner,
-// the pooled packrat run state and the Parse/Check/Accepts entry points,
-// plus the token, tree and error types they produce. It is the analog of
-// the ANTLR runtime library the paper's generated parsers link against.
+// Package rt is the parse runtime both engines run on: the scanner, the
+// pooled packrat run state, the error pass and the Parse/Check/Accepts
+// entry points, plus the token, tree and error types they produce. It is
+// the analog of the ANTLR runtime library the paper's generated parsers
+// link against.
 //
 // A generated parser supplies only data and straight-line code: a Parser
 // value holding its scanner tables, diagnostic names, production count and
 // start function, and one emitted function per production and composite
 // sub-expression, which call back into the exported Run methods below.
+// The interpreted engine (internal/parser) supplies the same tables, built
+// by the same function (lexer.Tables), and a start function that walks
+// its compiled grammar. It composes its own entry points from the exported
+// passes (ScanRun, AcceptRun, CheckRun, ParseRun) so that it can count its
+// work and recover statement by statement; the runtime itself counts
+// nothing.
 //
 // The package uses only the standard library. The pregenerated preset
 // parsers (internal/engine/generated) import it; `sqlfpc -emit` inlines

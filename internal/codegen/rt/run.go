@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Parser is one generated parser. The emitted code declares it as a
-// package-level composite literal holding the product's tables — scanner
+// Parser is one product's parser on the runtime: its tables — scanner
 // configuration, diagnostic display names, production count and start
-// function — and the runtime reads them. The Parser also owns the pool of
-// run states its calls reuse. All methods are safe for concurrent use; a
-// Parser must not be copied.
+// function — plus the pool of run states its calls reuse. A generated
+// parser declares it as a package-level composite literal; the interpreted
+// engine (internal/parser) builds one whose Root walks the compiled
+// grammar. All methods are safe for concurrent use; a Parser must not be
+// copied.
 type Parser struct {
 	// Keywords maps upper-cased reserved words to their terminal.
 	Keywords map[string]Terminal
@@ -181,7 +182,8 @@ func (s *forestSlab) handoff() {
 }
 
 // Run is the per-call parse state, recycled through its Parser's pool.
-// The emitted parse functions receive it and call its exported methods.
+// The parse functions — emitted or interpreted — receive it and call its
+// exported methods.
 type Run struct {
 	// toks is the pooled token buffer the scanner fills, handed off with
 	// the tree when a parse returns one; ids holds each token's interned
@@ -214,7 +216,8 @@ type Run struct {
 	expected   map[string]bool
 }
 
-func (p *Parser) getRun() *Run {
+// GetRun draws a run state from the parser's pool; PutRun returns it.
+func (p *Parser) GetRun() *Run {
 	r, _ := p.runs.Get().(*Run)
 	if r == nil {
 		r = &Run{}
@@ -222,11 +225,11 @@ func (p *Parser) getRun() *Run {
 	return r
 }
 
-// putRun returns a run to the pool. Slabs are recycled (zeroing anything
+// PutRun returns a run to the pool. Slabs are recycled (zeroing anything
 // a failed tree pass left behind) and oversized buffers dropped, so a
 // pooled run holds no references into finished parses: returned trees
 // own their chunks and token slices independently.
-func (p *Parser) putRun(r *Run) {
+func (p *Parser) PutRun(r *Run) {
 	r.buildTrees = false
 	r.trees.recycle()
 	r.forests.recycle()
@@ -292,6 +295,9 @@ func (r *Run) begin(prods int, track, buildTrees bool) {
 	r.trees.recycle()
 	r.forests.recycle()
 }
+
+// Tokens returns the tokens the run has scanned.
+func (r *Run) Tokens() []Token { return r.toks }
 
 // Memo looks up the memoised results of production prod at pos. The slot
 // it returns is where Memoize stores them on a miss.
@@ -460,7 +466,8 @@ func SortByEndDesc(rs []Result) {
 
 // Repeat explores every reachable end position of body*, guarding against
 // zero-width iterations, longest first. body is an emitted top-level
-// function, so constructing the loop allocates nothing.
+// function or a closure the interpreter builds once per repetition node,
+// so constructing the loop allocates nothing.
 func (r *Run) Repeat(pos int, allowEmpty bool, dst []Result, body func(r *Run, pos int, dst []Result) []Result) []Result {
 	start := len(dst)
 	if allowEmpty {
@@ -508,7 +515,7 @@ func (p *Parser) accepted(r *Run) bool {
 
 // errorPass re-parses with expected-token tracking and builds the syntax
 // error from the farthest failure, pointing past the last token at EOF.
-func (p *Parser) errorPass(r *Run) error {
+func (p *Parser) errorPass(r *Run) *SyntaxError {
 	r.begin(p.Prods, true, false)
 	results := p.Root(r, 0)
 	far := r.far
@@ -535,6 +542,9 @@ func (p *Parser) errorPass(r *Run) error {
 		}
 	}
 	e.Span.Line, e.Span.Col = e.Line, e.Col
+	if len(r.expected) > 0 {
+		e.Expected = make([]string, 0, len(r.expected))
+	}
 	for name := range r.expected {
 		if d, ok := p.Displays[name]; ok {
 			e.Expected = append(e.Expected, d)
@@ -545,33 +555,43 @@ func (p *Parser) errorPass(r *Run) error {
 	return e
 }
 
-// Parse scans and parses src, requiring the whole input to be consumed.
-// The returned tree owns its nodes and tokens. Empty input — whitespace
-// or comment-only — parses to a childless node labelled with the start
-// symbol, matching the interpreted engine.
-func (p *Parser) Parse(src string) (*Tree, error) {
-	r := p.getRun()
-	if err := p.scan(r, src); err != nil {
-		p.putRun(r)
-		return nil, err
+// AcceptRun reports whether the start production derives the run's whole
+// scan. It builds no tree and tracks no expectations.
+func (p *Parser) AcceptRun(r *Run) bool {
+	r.begin(p.Prods, false, false)
+	return p.accepted(r)
+}
+
+// CheckRun checks tokens [lo, hi) of the run's scan as one input, the way
+// statement recovery checks each statement of a script: nil when the start
+// production derives exactly those tokens, otherwise the syntax error at
+// their farthest failure. The run's tokens are left as they were.
+func (p *Parser) CheckRun(r *Run, lo, hi int) *SyntaxError {
+	toks, ids := r.toks, r.ids
+	r.toks, r.ids = toks[lo:hi], ids[lo:hi]
+	var err *SyntaxError
+	if !p.AcceptRun(r) {
+		err = p.errorPass(r)
 	}
-	if len(r.toks) == 0 {
-		p.putRun(r)
-		return &Tree{Label: p.Start}, nil
-	}
+	r.toks, r.ids = toks, ids
+	return err
+}
+
+// ParseRun parses the run's whole scan into a tree, or returns the syntax
+// error of the rejected input. The tree owns its nodes and tokens: they
+// are handed off, and the run keeps no reference to them.
+func (p *Parser) ParseRun(r *Run) (*Tree, *SyntaxError) {
 	r.begin(p.Prods, false, true)
-	var tree *Tree
 	for _, res := range p.Root(r, 0) {
-		if res.End == len(r.toks) {
-			if len(res.Forest) == 1 {
-				tree = res.Forest[0]
-			} else {
-				tree = r.newTree(p.Start, res.Forest)
-			}
-			break
+		if res.End != len(r.toks) {
+			continue
 		}
-	}
-	if tree != nil {
+		var tree *Tree
+		if len(res.Forest) == 1 {
+			tree = res.Forest[0]
+		} else {
+			tree = r.newTree(p.Start, res.Forest)
+		}
 		// Ownership of every chunk backing the tree — and of the token
 		// slice its leaves point into — moves to the caller; then drop the
 		// run's remaining references into those chunks.
@@ -579,12 +599,29 @@ func (p *Parser) Parse(src string) (*Tree, error) {
 		r.forests.handoff()
 		r.scrub()
 		r.toks = nil
-		p.putRun(r)
 		return tree, nil
 	}
-	err := p.errorPass(r)
-	p.putRun(r)
-	return nil, err
+	return nil, p.errorPass(r)
+}
+
+// Parse scans and parses src, requiring the whole input to be consumed.
+// The returned tree owns its nodes and tokens. Empty input — whitespace
+// or comment-only — parses to a childless node labelled with the start
+// symbol.
+func (p *Parser) Parse(src string) (*Tree, error) {
+	r := p.GetRun()
+	defer p.PutRun(r)
+	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
+		return nil, err
+	}
+	if len(r.toks) == 0 {
+		return &Tree{Label: p.Start}, nil
+	}
+	tree, err := p.ParseRun(r)
+	if err != nil {
+		return nil, err
+	}
+	return tree, nil
 }
 
 // Check reports whether src is in the product's language, returning nil on
@@ -592,37 +629,29 @@ func (p *Parser) Parse(src string) (*Tree, error) {
 // accept path performs zero heap allocations in steady state. Empty input
 // checks clean, matching Parse.
 func (p *Parser) Check(src string) error {
-	r := p.getRun()
-	if err := p.scan(r, src); err != nil {
-		p.putRun(r)
+	r := p.GetRun()
+	defer p.PutRun(r)
+	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
 		return err
 	}
 	if len(r.toks) == 0 {
-		p.putRun(r)
 		return nil
 	}
-	r.begin(p.Prods, false, false)
-	if p.accepted(r) {
-		p.putRun(r)
-		return nil
+	if err := p.CheckRun(r, 0, len(r.toks)); err != nil {
+		return err
 	}
-	err := p.errorPass(r)
-	p.putRun(r)
-	return err
+	return nil
 }
 
 // Accepts reports whether src is in the product's language. Unlike Check
 // it stays strict on empty input: membership of "" is a grammar question.
 func (p *Parser) Accepts(src string) bool {
-	r := p.getRun()
-	if err := p.scan(r, src); err != nil {
-		p.putRun(r)
+	r := p.GetRun()
+	defer p.PutRun(r)
+	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
 		return false
 	}
-	r.begin(p.Prods, false, false)
-	ok := p.accepted(r)
-	p.putRun(r)
-	return ok
+	return p.AcceptRun(r)
 }
 
 // ReservedWords returns the product's reserved words, sorted.

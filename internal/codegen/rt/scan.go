@@ -59,6 +59,8 @@ func isIdentPartRune(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
+// identStartsAt decodes the first rune of rest, so a truncated multi-byte
+// sequence is never taken for a letter (which would scan an empty word).
 func identStartsAt(rest string) bool {
 	r, size := utf8.DecodeRuneInString(rest)
 	if r == utf8.RuneError && size <= 1 {
@@ -72,7 +74,8 @@ const maxFoldLen = 64
 
 // keyword resolves word against the keyword table. ASCII words are folded
 // to upper case in a stack buffer and looked up without allocating; longer
-// or non-ASCII words take the (allocating, rare) Unicode path.
+// or non-ASCII words take the (allocating, rare) Unicode path, where no
+// length cutoff applies because upper-casing can shrink a word (ſ→S).
 func (p *Parser) keyword(word string) (Terminal, bool) {
 	if len(word) <= maxFoldLen {
 		var buf [maxFoldLen]byte
@@ -100,16 +103,34 @@ func (p *Parser) keyword(word string) (Terminal, bool) {
 	return k, ok
 }
 
-// scan tokenizes src into the run's pooled token and id buffers. Once the
-// buffers have warmed up, a scan allocates nothing. Tokens reference src.
-// On error both buffers are left empty.
-func (p *Parser) scan(r *Run, src string) error {
-	s := &scanState{src: src, line: 1, col: 1}
-	toks, ids := r.toks[:0], r.ids[:0]
-	fail := func(err error) error {
-		r.toks, r.ids = toks[:0], ids[:0]
-		return err
+// ScanFrom appends the tokens of src from byte offset off — whose 1-based
+// line and column the caller supplies (1, 1 for offset 0) — to toks. On a
+// lexical error the tokens scanned before it are returned with the
+// *ScanError, whose Off and Resume tell a recovering caller where scanning
+// can restart. Token offsets are absolute within src, and tokens reference
+// it. Once toks has warmed up, a scan allocates nothing.
+func (p *Parser) ScanFrom(src string, off, line, col int, toks []Token) ([]Token, error) {
+	toks, _, err := p.scan(src, off, line, col, toks, nil, false)
+	return toks, err
+}
+
+// ScanRun is ScanFrom into the run's token buffer, stamping each token's
+// interned id for the parse passes. Offset 0 starts the run's tokens
+// afresh; a later offset appends to them, so a recovering caller can
+// resume after a lexical error. It returns how many tokens it added.
+func (p *Parser) ScanRun(r *Run, src string, off, line, col int) (int, error) {
+	if off == 0 {
+		r.toks, r.ids = r.toks[:0], r.ids[:0]
 	}
+	n := len(r.toks)
+	var err error
+	r.toks, r.ids, err = p.scan(src, off, line, col, r.toks, r.ids, true)
+	return len(r.toks) - n, err
+}
+
+// scan appends tokens to toks and, when stamp is set, their ids to ids.
+func (p *Parser) scan(src string, off, line, col int, toks []Token, ids []int32, stamp bool) ([]Token, []int32, error) {
+	s := &scanState{src: src, pos: off, line: line, col: col}
 	for {
 		// Skip whitespace and comments.
 		for s.pos < len(s.src) {
@@ -131,7 +152,7 @@ func (p *Parser) scan(r *Run, src string) error {
 					s.advance(1)
 				}
 				if s.pos+1 >= len(s.src) {
-					return fail(s.errAt(startOff, startLine, startCol, "unterminated block comment"))
+					return toks, ids, s.errAt(startOff, startLine, startCol, "unterminated block comment")
 				}
 				s.advance(2)
 				continue
@@ -139,43 +160,44 @@ func (p *Parser) scan(r *Run, src string) error {
 			break
 		}
 		if s.pos >= len(s.src) {
-			r.toks, r.ids = toks, ids
-			return nil
+			return toks, ids, nil
 		}
 		startOff, line, col := s.pos, s.line, s.col
 		c := s.src[s.pos]
 		mk := func(t Terminal, text string) {
 			toks = append(toks, Token{Name: t.Name, Text: text, Line: line, Col: col, Off: startOff, End: s.pos})
-			ids = append(ids, t.ID)
+			if stamp {
+				ids = append(ids, t.ID)
+			}
 		}
 		cls := &p.Classes
 		switch {
 		case c == '\'':
 			text, err := scanQuoted(s, '\'', "string literal", startOff, line, col)
 			if err != nil {
-				return fail(err)
+				return toks, ids, err
 			}
 			if cls.String.Name == "" {
-				return fail(s.errAt(startOff, line, col, "string literals not enabled in this dialect"))
+				return toks, ids, s.errAt(startOff, line, col, "string literals not enabled in this dialect")
 			}
 			mk(cls.String, text)
 		case (c == 'X' || c == 'x') && s.pos+1 < len(s.src) && s.src[s.pos+1] == '\'' && cls.Binary.Name != "":
 			s.advance(1)
 			if _, err := scanQuoted(s, '\'', "binary string literal", startOff, line, col); err != nil {
-				return fail(err)
+				return toks, ids, err
 			}
 			mk(cls.Binary, s.src[startOff:s.pos])
 		case c == '"':
 			text, err := scanQuoted(s, '"', "delimited identifier", startOff, line, col)
 			if err != nil {
-				return fail(err)
+				return toks, ids, err
 			}
 			t := cls.Delim
 			if t.Name == "" {
 				t = cls.Ident
 			}
 			if t.Name == "" {
-				return fail(s.errAt(startOff, line, col, "delimited identifiers not enabled in this dialect"))
+				return toks, ids, s.errAt(startOff, line, col, "delimited identifiers not enabled in this dialect")
 			}
 			mk(t, text)
 		case isDigitByte(c) || (c == '.' && s.pos+1 < len(s.src) && isDigitByte(s.src[s.pos+1])):
@@ -186,7 +208,7 @@ func (p *Parser) scan(r *Run, src string) error {
 			case cls.Number.Name != "":
 				mk(cls.Number, text)
 			default:
-				return fail(s.errAt(startOff, line, col, "numeric literals not enabled in this dialect"))
+				return toks, ids, s.errAt(startOff, line, col, "numeric literals not enabled in this dialect")
 			}
 		case c == ':' && s.pos+1 < len(s.src) && identStartsAt(s.src[s.pos+1:]) && cls.Host.Name != "":
 			s.advance(1)
@@ -202,7 +224,7 @@ func (p *Parser) scan(r *Run, src string) error {
 			} else if cls.Ident.Name != "" {
 				mk(cls.Ident, word)
 			} else {
-				return fail(s.errAt(startOff, line, col, "unknown word %q (identifiers not enabled in this dialect)", word))
+				return toks, ids, s.errAt(startOff, line, col, "unknown word %q (identifiers not enabled in this dialect)", word)
 			}
 		default:
 			matched := false
@@ -216,12 +238,15 @@ func (p *Parser) scan(r *Run, src string) error {
 			}
 			if !matched {
 				ch, _ := utf8.DecodeRuneInString(s.src[s.pos:])
-				return fail(s.errAt(startOff, line, col, "unexpected character %q", ch))
+				return toks, ids, s.errAt(startOff, line, col, "unexpected character %q", ch)
 			}
 		}
 	}
 }
 
+// scanQuoted consumes a quoted lexeme (a doubled quote escapes it). An
+// unterminated one is reported at the token's start — for X'..' the X —
+// naming where the input ran out.
 func scanQuoted(s *scanState, q byte, what string, startOff, startLine, startCol int) (string, error) {
 	start := s.pos
 	s.advance(1)
@@ -249,7 +274,7 @@ func scanNumber(s *scanState) (string, bool) {
 		s.advance(1)
 	}
 	if s.pos < len(s.src) && s.src[s.pos] == '.' {
-		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '.' {
+		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '.' { // 1..2
 			return s.src[start:s.pos], isInt
 		}
 		isInt = false

@@ -4,11 +4,11 @@
 // build-time generated parsers (internal/codegen output, compiled into the
 // binary via go:generate) to first-class backends behind it.
 //
-// Two engine kinds exist. The interpreted engine wraps a *core.Product and
+// Two engine kinds exist, both on the shared parse runtime
+// (internal/codegen/rt). The interpreted engine wraps a *core.Product and
 // drives the packrat interpreter in internal/parser — it serves any
 // feature configuration. The generated engine serves exactly one product:
-// a parser emitted by internal/codegen for a shipped preset, running on
-// the shared generated-parser runtime (internal/codegen/rt) and registered
+// a parser emitted by internal/codegen for a shipped preset, registered
 // at init time under the product's catalog fingerprint. The catalog
 // auto-promotes a product to its generated engine when the fingerprint
 // matches; everything else falls back to interpreted, so arbitrary
@@ -30,10 +30,11 @@
 //
 // # Diagnose fallback
 //
-// The generated runtime covers Parse/Check/Accepts but not statement
-// recovery. Generated engines delegate Diagnose to their product's
-// interpreted parser (counted in HotCounters().DiagFallbacks), so the
-// multi-error diagnostics contract of PR 5 holds regardless of backend.
+// Statement recovery (parser.ParseRecover) checks each statement on a
+// runtime run, but only the interpreted engine drives it: generated
+// engines delegate Diagnose to their product's interpreted parser
+// (counted in HotCounters().DiagFallbacks), so the multi-error
+// diagnostics contract holds regardless of backend.
 package engine
 
 import (

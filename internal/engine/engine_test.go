@@ -215,6 +215,7 @@ func TestStaleRegistrationFallsBack(t *testing.T) {
 		Check:       func(string) error { panic("stale parser served") },
 		Accepts:     func(string) bool { panic("stale parser served") },
 	})
+	t.Cleanup(func() { engine.Unregister(fp) })
 	before := engine.HotCounters().StaleSkips
 	eng, promoted := engine.ForProduct(p, fp)
 	if promoted {

@@ -1,14 +1,16 @@
 package parser
 
 import (
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 )
 
 // The engine interprets a compiled form of the grammar: expression values
-// are converted once into pointer nodes carrying their nullable flag and
-// FIRST set. Token names are interned to dense integer ids so prediction is
-// a bitset test, and productions to indices so memoisation keys are
-// integers instead of strings.
+// are converted once into pointer nodes carrying their FIRST set as a
+// bitset over the ids the scanner stamps on tokens (the grammar's
+// referenced tokens, in order — the numbering codegen uses), and
+// productions become indices, so prediction is a bitset test and memo
+// keys are integers.
 
 type ckind uint8
 
@@ -28,65 +30,91 @@ type cnode struct {
 	// name is the token or nonterminal name for cTok/cNT (kept for error
 	// messages and the tracking pass).
 	name string
-	// id is the interned token id (cTok) or production index (cNT).
-	id int
+	// id is the token id (cTok) or production index (cNT).
+	id int32
 	// items are sequence items, choice alternatives, or the single body of
 	// opt/star/plus.
 	items []*cnode
-	// nullable reports whether the node can derive the empty string.
-	nullable bool
-	// firstBits is the node's FIRST set as a bitset over token ids.
-	firstBits []uint64
-	// first is the same set by name, used only when collecting expected
-	// tokens for error messages.
-	first map[string]bool
-}
-
-// has reports whether token id is in the node's FIRST set.
-func (n *cnode) has(id int) bool {
-	if id < 0 {
-		return false
-	}
-	w := id >> 6
-	return w < len(n.firstBits) && n.firstBits[w]&(1<<(uint(id)&63)) != 0
+	// guard is the node's FIRST set, which prediction tests it against as
+	// an alternative; nil when the node derives the empty string or
+	// prediction is disabled, so it is never pruned.
+	guard rt.Bits
+	// first names the guard's tokens: what a pruned alternative expected.
+	first []string
+	// body parses items[0] as the runtime's repetition body (star/plus).
+	body func(r *rt.Run, pos int, dst []rt.Result) []rt.Result
 }
 
 // program is the compiled grammar.
 type program struct {
-	// prods holds compiled productions, indexed by production id.
-	prods []*cnode
 	// names holds production names, indexed by production id (so the hot
 	// path never walks g.Productions()).
 	names []string
-	// prodIndex maps production names to ids.
-	prodIndex map[string]int
-	// alts caches each production's top-level alternatives.
+	// alts holds each production's top-level alternatives.
 	alts [][]*cnode
-	// tokenID interns token names; ids are dense from 0.
-	tokenID map[string]int
 	// start is the start production's id.
 	start int
 }
 
-// compile converts every production of g, using the analysis for
-// nullable/FIRST annotations.
-func compile(g *grammar.Grammar, an *grammar.Analysis) *program {
-	pr := &program{
-		prodIndex: make(map[string]int, g.Len()),
-		tokenID:   map[string]int{},
+// compile converts every production of g, interning tokens by their index
+// in refs. predict enables FIRST-set pruning.
+func compile(g *grammar.Grammar, refs []string, predict bool) *program {
+	an := grammar.Analyze(g)
+	tokenID := make(map[string]int32, len(refs))
+	for i, t := range refs {
+		tokenID[t] = int32(i)
 	}
-	for _, t := range g.ReferencedTokens() {
-		pr.tokenID[t] = len(pr.tokenID)
+	prodIndex := make(map[string]int32, g.Len())
+	for i, p := range g.Productions() {
+		prodIndex[p.Name] = int32(i)
+	}
+	pr := &program{names: make([]string, g.Len()), alts: make([][]*cnode, g.Len())}
+	words := (len(refs) + 63) / 64
+	var conv func(e grammar.Expr) *cnode
+	conv = func(e grammar.Expr) *cnode {
+		n := &cnode{}
+		if nullable, first := an.FirstOfExpr(e); predict && !nullable {
+			n.guard = make(rt.Bits, words)
+			for name := range first {
+				if id, ok := tokenID[name]; ok {
+					n.guard[id>>6] |= 1 << (uint32(id) & 63)
+				}
+				n.first = append(n.first, name)
+			}
+		}
+		switch x := e.(type) {
+		case grammar.Tok:
+			n.kind, n.name, n.id = cTok, x.Name, tokenID[x.Name]
+		case grammar.NT:
+			// Validate guarantees the production exists.
+			n.kind, n.name, n.id = cNT, x.Name, prodIndex[x.Name]
+		case grammar.Seq:
+			n.kind = cSeq
+			for _, it := range x.Items {
+				n.items = append(n.items, conv(it))
+			}
+		case grammar.Choice:
+			n.kind = cChoice
+			for _, a := range x.Alts {
+				n.items = append(n.items, conv(a))
+			}
+		case grammar.Opt:
+			n.kind, n.items = cOpt, []*cnode{conv(x.Body)}
+		case grammar.Star:
+			n.kind, n.items = cStar, []*cnode{conv(x.Body)}
+		case grammar.Plus:
+			n.kind, n.items = cPlus, []*cnode{conv(x.Body)}
+		}
+		if n.kind == cStar || n.kind == cPlus {
+			body := n.items[0]
+			n.body = func(r *rt.Run, pos int, dst []rt.Result) []rt.Result {
+				return pr.parseExpr(r, body, pos, dst)
+			}
+		}
+		return n
 	}
 	for i, p := range g.Productions() {
-		pr.prodIndex[p.Name] = i
-	}
-	pr.prods = make([]*cnode, g.Len())
-	pr.names = make([]string, g.Len())
-	pr.alts = make([][]*cnode, g.Len())
-	for i, p := range g.Productions() {
-		n := pr.compileExpr(p.Expr, an)
-		pr.prods[i] = n
+		n := conv(p.Expr)
 		pr.names[i] = p.Name
 		if n.kind == cChoice {
 			pr.alts[i] = n.items
@@ -94,49 +122,6 @@ func compile(g *grammar.Grammar, an *grammar.Analysis) *program {
 			pr.alts[i] = []*cnode{n}
 		}
 	}
-	pr.start = pr.prodIndex[g.Start]
+	pr.start = int(prodIndex[g.Start])
 	return pr
-}
-
-func (pr *program) compileExpr(e grammar.Expr, an *grammar.Analysis) *cnode {
-	n := &cnode{}
-	n.nullable, n.first = an.FirstOfExpr(e)
-	n.firstBits = make([]uint64, (len(pr.tokenID)+63)/64)
-	for name := range n.first {
-		if id, ok := pr.tokenID[name]; ok {
-			n.firstBits[id>>6] |= 1 << (uint(id) & 63)
-		}
-	}
-	switch x := e.(type) {
-	case grammar.Tok:
-		n.kind = cTok
-		n.name = x.Name
-		n.id = pr.tokenID[x.Name]
-	case grammar.NT:
-		n.kind = cNT
-		n.name = x.Name
-		n.id = pr.prodIndex[x.Name] // Validate guarantees presence
-	case grammar.Seq:
-		n.kind = cSeq
-		n.items = make([]*cnode, len(x.Items))
-		for i, it := range x.Items {
-			n.items[i] = pr.compileExpr(it, an)
-		}
-	case grammar.Choice:
-		n.kind = cChoice
-		n.items = make([]*cnode, len(x.Alts))
-		for i, a := range x.Alts {
-			n.items[i] = pr.compileExpr(a, an)
-		}
-	case grammar.Opt:
-		n.kind = cOpt
-		n.items = []*cnode{pr.compileExpr(x.Body, an)}
-	case grammar.Star:
-		n.kind = cStar
-		n.items = []*cnode{pr.compileExpr(x.Body, an)}
-	case grammar.Plus:
-		n.kind = cPlus
-		n.items = []*cnode{pr.compileExpr(x.Body, an)}
-	}
-	return n
 }

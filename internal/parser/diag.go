@@ -2,11 +2,9 @@ package parser
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sqlspl/internal/codegen/rt"
-	"sqlspl/internal/grammar"
 	"sqlspl/internal/lexer"
 )
 
@@ -104,48 +102,4 @@ func (d *Diagnostic) render(ix *lexer.LineIndex) string {
 		b.WriteByte('~')
 	}
 	return b.String()
-}
-
-// displayNames maps terminal names to their diagnostic rendering: keywords
-// as their upper-cased spelling, punctuation as the quoted spelling, class
-// tokens by name. Aliases bound to the same spelling collapse to one
-// display string, and names with no definition in the token set — internal
-// or erased names a composition can leak — have no entry at all, so
-// expected-set rendering drops them.
-func displayNames(ts *grammar.TokenSet) map[string]string {
-	out := make(map[string]string, ts.Len())
-	for _, d := range ts.Defs() {
-		switch d.Kind {
-		case grammar.Keyword:
-			out[d.Name] = strings.ToUpper(d.Text)
-		case grammar.Punct:
-			out[d.Name] = "'" + d.Text + "'"
-		default:
-			out[d.Name] = d.Name
-		}
-	}
-	return out
-}
-
-// displayExpected canonicalizes a raw expected-token set into sorted,
-// deduplicated display names.
-func (p *Parser) displayExpected(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		if d, ok := p.display[name]; ok {
-			out = append(out, d)
-		}
-	}
-	sort.Strings(out)
-	n := 0
-	for i, s := range out {
-		if i == 0 || s != out[n-1] {
-			out[n] = s
-			n++
-		}
-	}
-	return out[:n]
 }

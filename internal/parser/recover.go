@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/lexer"
 	"sqlspl/internal/stream"
 )
@@ -29,25 +30,21 @@ const DefaultMaxDiagnostics = 20
 // rides the same zero-allocation verdict path as Check: the slow
 // segmentation pass runs only after the whole-script parse has rejected.
 func (p *Parser) ParseRecover(src string) []Diagnostic {
-	r := p.getRun()
-	toks, lexErr := p.lex.ScanInto(src, r.tokBuf[:0])
-	r.tokBuf = toks
+	r := p.rt.GetRun()
+	defer p.rt.PutRun(r)
+	lexErr := p.lex.ScanRun(r, src, 0, 1, 1)
 	if lexErr == nil {
-		if len(toks) == 0 {
-			p.putRun(r)
+		n := len(r.Tokens())
+		if n == 0 {
 			return nil
 		}
-		if err := p.checkMaxTokens(toks); err != nil {
-			p.putRun(r)
+		if err := p.checkMaxTokens(n); err != nil {
 			hot.recoveries.Add(1)
 			hot.diagnostics.Add(1)
 			return []Diagnostic{{Span: Span{Line: 1, Col: 1}, Msg: err.Error()}}
 		}
-		hot.parses.Add(1)
-		hot.tokens.Add(uint64(len(toks)))
-		r.begin(toks, false, false)
-		if _, ok := r.rootResult(); ok {
-			p.putRun(r)
+		countPass(n)
+		if p.rt.AcceptRun(r) {
 			return nil
 		}
 		hot.rejects.Add(1)
@@ -55,7 +52,6 @@ func (p *Parser) ParseRecover(src string) []Diagnostic {
 	hot.recoveries.Add(1)
 	diags := p.recoverDiagnostics(r, src, lexErr == nil)
 	hot.diagnostics.Add(uint64(len(diags)))
-	p.putRun(r)
 	return diags
 }
 
@@ -69,9 +65,9 @@ type mark struct {
 
 // recoverDiagnostics is the slow path: rescan src resynchronizing after
 // lexical errors, then split the token stream into statement segments and
-// parse each one. cleanScan says the whole source already scanned without
-// error into r.tokBuf, so the rescan pass can be skipped.
-func (p *Parser) recoverDiagnostics(r *run, src string, cleanScan bool) []Diagnostic {
+// check each one. cleanScan says the whole source already scanned without
+// error into r, so the rescan pass can be skipped.
+func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Diagnostic {
 	maxDiags := p.opts.MaxDiagnostics
 	if maxDiags <= 0 {
 		maxDiags = DefaultMaxDiagnostics
@@ -82,22 +78,20 @@ func (p *Parser) recoverDiagnostics(r *run, src string, cleanScan bool) []Diagno
 	// in the raw source (Error.Resume is where the scanner stopped — for an
 	// unterminated literal that is end of input, which cleanly ends
 	// recovery too).
-	toks := r.tokBuf
 	var marks []mark
 	if !cleanScan {
 		var ix *lexer.LineIndex
-		toks = r.tokBuf[:0]
 		off, line, col := 0, 1, 1
 		for off <= len(src) && len(marks) <= maxDiags {
-			var err error
-			toks, err = p.lex.ScanPartialFrom(src, off, line, col, toks)
+			err := p.lex.ScanRun(r, src, off, line, col)
 			if err == nil {
 				break
 			}
+			scanned := len(r.Tokens())
 			var le *lexer.Error
 			if !errors.As(err, &le) {
 				// Defensive: an unstructured scan error cannot be resynchronized.
-				marks = append(marks, mark{idx: len(toks), diag: Diagnostic{
+				marks = append(marks, mark{idx: scanned, diag: Diagnostic{
 					Span: Span{Start: off, End: len(src), Line: line, Col: col},
 					Msg:  err.Error(),
 				}})
@@ -128,19 +122,19 @@ func (p *Parser) recoverDiagnostics(r *run, src string, cleanScan bool) []Diagno
 				next = le.Off
 			}
 			if next < 0 {
-				marks = append(marks, mark{idx: len(toks), diag: d})
+				marks = append(marks, mark{idx: scanned, diag: d})
 				break
 			}
 			d.Hint = "rescanning after the next ';'"
-			marks = append(marks, mark{idx: len(toks), diag: d})
+			marks = append(marks, mark{idx: scanned, diag: d})
 			off = next + 1
 			if ix == nil {
 				ix = lexer.NewLineIndex(src)
 			}
 			line, col = ix.Pos(off)
 		}
-		r.tokBuf = toks
 	}
+	toks := r.Tokens()
 
 	// Pass 2: walk the tokens once through the shared statement splitter
 	// (internal/stream — the same boundary rules the streaming scanner
@@ -180,11 +174,12 @@ func (p *Parser) recoverDiagnostics(r *run, src string, cleanScan bool) []Diagno
 			})
 			return
 		}
-		r.begin(st, false, false)
-		if _, ok := r.rootResult(); ok {
+		serr := p.rt.CheckRun(r, lo, hi)
+		if serr == nil {
 			return
 		}
-		d := syntaxDiagnostic(p.errorPass(r, st))
+		countErrorPass()
+		d := syntaxDiagnostic(serr)
 		if hasMore {
 			d.Hint = "statement skipped"
 		}

@@ -2,8 +2,12 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"sqlspl/internal/grammar"
+	"sqlspl/internal/lexer"
 )
 
 // scriptGrammar is a small multi-statement dialect for recovery tests:
@@ -104,16 +108,33 @@ func TestSyntaxErrorTokenSpan(t *testing.T) {
 // spellings upper-cased, aliases for one spelling deduplicated, and names
 // with no definition in the token set dropped.
 func TestDisplayExpected(t *testing.T) {
-	p := buildParser(t, `
-grammar alias ;
-s : LP IDENTIFIER | LPAREN AND IDENTIFIER ;
-`, `
+	const tokens = `
 tokens alias ;
 LP     : '(' ;
 LPAREN : '(' ;
 AND    : 'and' ;
 IDENTIFIER : <identifier> ;
-`, Options{})
+`
+	p := buildParser(t, `
+grammar alias ;
+s : LP IDENTIFIER | LPAREN AND IDENTIFIER ;
+`, tokens, Options{})
+	tables, err := lexer.Tables(grammar.MustParseTokens(tokens), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// displayExpected canonicalizes a raw expected set through the display
+	// names lexer.Tables builds, as the runtime's error pass does.
+	displayExpected := func(set map[string]bool) []string {
+		var out []string
+		for name := range set {
+			if d, ok := tables.Displays[name]; ok {
+				out = append(out, d)
+			}
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
 
 	cases := []struct {
 		name string
@@ -138,7 +159,7 @@ IDENTIFIER : <identifier> ;
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := p.displayExpected(tc.set)
+			got := displayExpected(tc.set)
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Errorf("displayExpected(%v) = %v, want %v", tc.set, got, tc.want)
 			}

@@ -129,7 +129,9 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 
 	// Parser/lexer hot-path counters (process-wide, so they include
 	// non-server parses in the same process — documented in DESIGN §8).
-	reg.CounterFunc("sqlspl_parser_parses_total", "ParseTokens calls process-wide",
+	// They count interpreted-engine, statement-recovery and stream-scanner
+	// work; generated engines bump only the engine counters above.
+	reg.CounterFunc("sqlspl_parser_parses_total", "parse passes run by the interpreted engine and statement recovery, process-wide (generated engines not counted)",
 		func() uint64 { return parser.HotCounters().Parses })
 	reg.CounterFunc("sqlspl_parser_rejects_total", "parses that returned a syntax error",
 		func() uint64 { return parser.HotCounters().Rejects })
@@ -139,7 +141,7 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 		func() uint64 { return parser.HotCounters().Recoveries })
 	reg.CounterFunc("sqlspl_parser_diagnostics_total", "diagnostics produced by statement recovery",
 		func() uint64 { return parser.HotCounters().Diagnostics })
-	reg.CounterFunc("sqlspl_lexer_scans_total", "Scan calls process-wide",
+	reg.CounterFunc("sqlspl_lexer_scans_total", "scans run by the interpreted engine, statement recovery and the stream scanner, process-wide (generated engines not counted)",
 		func() uint64 { return lexer.HotCounters().Scans })
 	reg.CounterFunc("sqlspl_lexer_tokens_total", "tokens produced by successful scans",
 		func() uint64 { return lexer.HotCounters().Tokens })

@@ -16,7 +16,9 @@ import (
 
 	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
+	"sqlspl/internal/engine"
 	"sqlspl/internal/feature"
+	"sqlspl/internal/parser"
 	"sqlspl/internal/product"
 	"sqlspl/internal/sql2003"
 	"sqlspl/internal/telemetry"
@@ -508,6 +510,9 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
 
+	// The engine and parser counters are process-wide, so they are
+	// asserted as deltas over this test's own requests.
+	genParses := engine.HotCounters().GenParses
 	if status, _, _ := postJSON(t, client, "http://"+addr+"/v1/parse",
 		ParseRequest{Dialect: "core", SQL: "SELECT a FROM t"}); status != http.StatusOK {
 		t.Fatalf("parse failed with %d", status)
@@ -531,7 +536,32 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		}
 	}
 
-	resp, err = client.Get("http://" + addr + "/metrics?format=json")
+	snap := metricsJSON(t, client, addr)
+	if m := snap.Find("sqlserved_parse_latency_seconds"); m == nil || m.Count != 1 {
+		t.Errorf("json latency metric = %+v, want count 1", m)
+	}
+	// A preset request is served by its generated engine.
+	if m := snap.Find("sqlspl_engine_generated_parses_total"); m == nil || m.Value != float64(genParses+1) {
+		t.Errorf("json generated-parse counter = %+v, want %d", m, genParses+1)
+	}
+
+	// An explicit feature selection is served by the interpreter, whose
+	// parses the parser counter counts.
+	parses := parser.HotCounters().Parses
+	if status, body, _ := postJSON(t, client, "http://"+addr+"/v1/parse",
+		ParseRequest{Features: mustConfig(t, dialect.Minimal).Names(), SQL: "SELECT a FROM t"}); status != http.StatusOK {
+		t.Fatalf("custom-features parse = %d: %s", status, body)
+	}
+	snap = metricsJSON(t, client, addr)
+	if m := snap.Find("sqlspl_parser_parses_total"); m == nil || m.Value != float64(parses+1) {
+		t.Errorf("json parser counter = %+v, want %d", m, parses+1)
+	}
+}
+
+// metricsJSON fetches the server's metrics as a JSON snapshot.
+func metricsJSON(t *testing.T, client *http.Client, addr string) telemetry.Snapshot {
+	t.Helper()
+	resp, err := client.Get("http://" + addr + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +570,7 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if m := snap.Find("sqlserved_parse_latency_seconds"); m == nil || m.Count != 1 {
-		t.Errorf("json latency metric = %+v, want count 1", m)
-	}
-	if m := snap.Find("sqlspl_parser_parses_total"); m == nil || m.Value < 1 {
-		t.Errorf("json parser counter = %+v, want >= 1", m)
-	}
+	return snap
 }
 
 func TestReadyzLifecycle(t *testing.T) {
