@@ -223,10 +223,10 @@ func runBatch(eng engine.Engine, lx *lexer.Lexer, in io.Reader, out io.Writer, w
 			if jsonOut {
 				return server.OutcomeAt(eng, st.Text, want, at)
 			}
-			// Verdict-only: parse without building a response shape,
-			// preserving batch mode's original parse-only semantics.
+			// Verdict-only: Check gives Parse's error from the same scan
+			// and error pass without building a tree.
 			r := &server.ParseResponse{Dialect: eng.Info().Product}
-			if _, err := eng.Parse(st.Text); err != nil {
+			if err := eng.Check(st.Text); err != nil {
 				r.Error = server.EncodeDiagnostic(server.RelocateError(err, at))
 			} else {
 				r.OK = true

@@ -10,10 +10,11 @@
 // sub-expression, which call back into the exported Run methods below.
 // The interpreted engine (internal/parser) supplies the same tables, built
 // by the same function (lexer.Tables), and a start function that walks
-// its compiled grammar. It composes its own entry points from the exported
-// passes (ScanRun, AcceptRun, CheckRun, ParseRun) so that it can count its
-// work and recover statement by statement; the runtime itself counts
-// nothing.
+// its compiled grammar; both engines answer through the entry points
+// here, which enforce Parser.MaxTokens. Statement recovery alone drives
+// the exported passes (GetRun, ScanRun, AcceptRun, CheckRun) itself, to
+// check a script statement by statement. The runtime counts nothing:
+// engine work is counted once, at the engine seam (internal/engine).
 //
 // The package uses only the standard library. The pregenerated preset
 // parsers (internal/engine/generated) import it; `sqlfpc -emit` inlines

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 )
@@ -32,6 +33,9 @@ type Parser struct {
 	// Start is the start symbol, and Root parses it.
 	Start string
 	Root  func(r *Run, pos int) []Result
+	// MaxTokens caps the token count Parse, Check and Accepts take on, as
+	// a defence against pathological inputs; 0 means no cap.
+	MaxTokens int
 
 	runs sync.Pool
 }
@@ -577,10 +581,10 @@ func (p *Parser) CheckRun(r *Run, lo, hi int) *SyntaxError {
 	return err
 }
 
-// ParseRun parses the run's whole scan into a tree, or returns the syntax
+// parseRun parses the run's whole scan into a tree, or returns the syntax
 // error of the rejected input. The tree owns its nodes and tokens: they
 // are handed off, and the run keeps no reference to them.
-func (p *Parser) ParseRun(r *Run) (*Tree, *SyntaxError) {
+func (p *Parser) parseRun(r *Run) (*Tree, *SyntaxError) {
 	r.begin(p.Prods, false, true)
 	for _, res := range p.Root(r, 0) {
 		if res.End != len(r.toks) {
@@ -604,6 +608,23 @@ func (p *Parser) ParseRun(r *Run) (*Tree, *SyntaxError) {
 	return nil, p.errorPass(r)
 }
 
+// CheckLen enforces MaxTokens on an input of n tokens: nil within the
+// cap, otherwise the error Parse and Check fail with.
+func (p *Parser) CheckLen(n int) error {
+	if p.MaxTokens > 0 && n > p.MaxTokens {
+		return fmt.Errorf("input of %d tokens exceeds configured maximum %d", n, p.MaxTokens)
+	}
+	return nil
+}
+
+// scanAll scans src afresh into r and enforces MaxTokens.
+func (p *Parser) scanAll(r *Run, src string) error {
+	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
+		return err
+	}
+	return p.CheckLen(len(r.toks))
+}
+
 // Parse scans and parses src, requiring the whole input to be consumed.
 // The returned tree owns its nodes and tokens. Empty input — whitespace
 // or comment-only — parses to a childless node labelled with the start
@@ -611,13 +632,13 @@ func (p *Parser) ParseRun(r *Run) (*Tree, *SyntaxError) {
 func (p *Parser) Parse(src string) (*Tree, error) {
 	r := p.GetRun()
 	defer p.PutRun(r)
-	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
+	if err := p.scanAll(r, src); err != nil {
 		return nil, err
 	}
 	if len(r.toks) == 0 {
 		return &Tree{Label: p.Start}, nil
 	}
-	tree, err := p.ParseRun(r)
+	tree, err := p.parseRun(r)
 	if err != nil {
 		return nil, err
 	}
@@ -631,7 +652,7 @@ func (p *Parser) Parse(src string) (*Tree, error) {
 func (p *Parser) Check(src string) error {
 	r := p.GetRun()
 	defer p.PutRun(r)
-	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
+	if err := p.scanAll(r, src); err != nil {
 		return err
 	}
 	if len(r.toks) == 0 {
@@ -648,7 +669,7 @@ func (p *Parser) Check(src string) error {
 func (p *Parser) Accepts(src string) bool {
 	r := p.GetRun()
 	defer p.PutRun(r)
-	if _, err := p.ScanRun(r, src, 0, 1, 1); err != nil {
+	if err := p.scanAll(r, src); err != nil {
 		return false
 	}
 	return p.AcceptRun(r)

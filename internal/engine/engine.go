@@ -5,16 +5,28 @@
 // binary via go:generate) to first-class backends behind it.
 //
 // Two engine kinds exist, both on the shared parse runtime
-// (internal/codegen/rt). The interpreted engine wraps a *core.Product and
-// drives the packrat interpreter in internal/parser — it serves any
-// feature configuration. The generated engine serves exactly one product:
-// a parser emitted by internal/codegen for a shipped preset, registered
-// at init time under the product's catalog fingerprint. The catalog
-// auto-promotes a product to its generated engine when the fingerprint
-// matches; everything else falls back to interpreted, so arbitrary
-// configurations keep working while preset traffic rides the specialized
-// artifact — the paper's generated-parser-per-product stance made
-// operational.
+// (internal/codegen/rt), and one adapter serves them: it answers Parse,
+// Check and Accepts through the product's runtime parser (an rt.Parser)
+// and Diagnose through the product's statement recovery. The interpreted
+// engine's runtime parser is the product's own (internal/parser walks the
+// composed grammar) — it serves any feature configuration. The generated
+// engine's is a parser emitted by internal/codegen for a shipped preset,
+// registered at init time under the product's catalog fingerprint. The
+// catalog auto-promotes a product to its generated engine when the
+// fingerprint matches; everything else falls back to interpreted, so
+// arbitrary configurations keep working while preset traffic rides the
+// specialized artifact — the paper's generated-parser-per-product stance
+// made operational.
+//
+// # Counting
+//
+// The seam is the one place engine work is counted (HotCounters): every
+// Parse and Check an Engine serves moves exactly one process-wide counter
+// for its backend, every Diagnose moves the Diagnose counter (and on a
+// generated engine the fallback counter too), and Accepts moves none.
+// Nothing below the seam — runtime, parser, lexer — counts, so the
+// counters cover the generated engines that serve the presets as well as
+// the interpreter.
 //
 // # Staleness
 //
@@ -33,7 +45,7 @@
 // Statement recovery (parser.ParseRecover) checks each statement on a
 // runtime run, but only the interpreted engine drives it: generated
 // engines delegate Diagnose to their product's interpreted parser
-// (counted in HotCounters().DiagFallbacks), so the multi-error
+// (counted in HotCounters().DiagFallbacks as well), so the multi-error
 // diagnostics contract holds regardless of backend.
 package engine
 
@@ -44,6 +56,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/core"
 	"sqlspl/internal/grammar"
 	"sqlspl/internal/parser"
@@ -61,7 +74,7 @@ const (
 	KindGenerated Kind = "generated"
 )
 
-// Info identifies an engine and its capabilities.
+// Info identifies an engine.
 type Info struct {
 	// Kind is the backend discriminator.
 	Kind Kind
@@ -71,9 +84,6 @@ type Info struct {
 	// Fingerprint is the catalog fingerprint of the configuration the
 	// engine was resolved for.
 	Fingerprint string
-	// NativeDiagnose reports whether Diagnose runs on this backend itself;
-	// false means it falls back to the interpreted engine.
-	NativeDiagnose bool
 }
 
 // Engine is the serving surface of one parser product. All methods are
@@ -93,32 +103,46 @@ type Engine interface {
 	Diagnose(sql string) []parser.Diagnostic
 }
 
-// Counters is a snapshot of the engine hot-path counters.
+// Counters is a snapshot of the engine counters. Each field is read
+// individually; the snapshot is not one consistent cut, but every field
+// is monotone.
 type Counters struct {
-	// GenParses and GenChecks count calls served by generated backends.
-	GenParses uint64
-	GenChecks uint64
-	// DiagFallbacks counts Diagnose calls a generated engine delegated to
-	// the interpreted parser.
+	// GenParses and GenChecks count Parse and Check calls served by
+	// generated engines; InterpParses and InterpChecks those served by
+	// interpreted engines.
+	GenParses, GenChecks       uint64
+	InterpParses, InterpChecks uint64
+	// Diagnoses counts Diagnose calls on either kind.
+	Diagnoses uint64
+	// DiagFallbacks counts the Diagnose calls a generated engine delegated
+	// to the interpreted parser (all of its Diagnose calls).
 	DiagFallbacks uint64
 	// StaleSkips counts promotions refused because the registered parser's
 	// grammar hash no longer matches the built product.
 	StaleSkips uint64
 }
 
+// kindCounters are one engine kind's Parse and Check counts.
+type kindCounters struct {
+	parses, checks atomic.Uint64
+}
+
 var hot struct {
-	genParses     atomic.Uint64
-	genChecks     atomic.Uint64
-	diagFallbacks atomic.Uint64
-	staleSkips    atomic.Uint64
+	generated, interpreted kindCounters
+	diagnoses              atomic.Uint64
+	diagFallbacks          atomic.Uint64
+	staleSkips             atomic.Uint64
 }
 
 // HotCounters snapshots the process-wide engine counters (telemetry
 // samples these at scrape time).
 func HotCounters() Counters {
 	return Counters{
-		GenParses:     hot.genParses.Load(),
-		GenChecks:     hot.genChecks.Load(),
+		GenParses:     hot.generated.parses.Load(),
+		GenChecks:     hot.generated.checks.Load(),
+		InterpParses:  hot.interpreted.parses.Load(),
+		InterpChecks:  hot.interpreted.checks.Load(),
+		Diagnoses:     hot.diagnoses.Load(),
 		DiagFallbacks: hot.diagFallbacks.Load(),
 		StaleSkips:    hot.staleSkips.Load(),
 	}
@@ -141,10 +165,10 @@ func GrammarHash(g *grammar.Grammar, ts *grammar.TokenSet) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Generated describes one registered build-time parser. The function
-// fields are the generated parser's entry points on the shared runtime
-// (internal/codegen/rt), whose tree and error types are the seam's own:
-// parser.Tree, parser.SyntaxError and lexer.Error alias them.
+// Generated describes one registered build-time parser: the generated
+// package's parser on the shared runtime (internal/codegen/rt), whose
+// tree and error types are the seam's own (parser.Tree,
+// parser.SyntaxError and lexer.Error alias them).
 type Generated struct {
 	// Preset names the dialect the parser was generated for.
 	Preset string
@@ -153,10 +177,8 @@ type Generated struct {
 	// GrammarSHA is GrammarHash of the grammar the parser was generated
 	// from; promotion refuses a mismatch.
 	GrammarSHA string
-
-	Parse   func(sql string) (*parser.Tree, error)
-	Check   func(sql string) error
-	Accepts func(sql string) bool
+	// Parser is the generated parser.
+	Parser *rt.Parser
 }
 
 var registry struct {
@@ -196,52 +218,43 @@ func Registered() []Generated {
 	return out
 }
 
-// interpreted adapts a *core.Product to the seam.
-type interpreted struct {
-	p  *core.Product
-	fp string
+// adapter serves one product through a runtime parser — the product's
+// own (interpreted) or a registered generated one — counting each call
+// against its kind.
+type adapter struct {
+	rt   *rt.Parser
+	p    *core.Product
+	info Info
+	n    *kindCounters
 }
 
 // Interpreted wraps a built product as an interpreted engine.
 func Interpreted(p *core.Product, fingerprint string) Engine {
-	return interpreted{p: p, fp: fingerprint}
+	return &adapter{rt: p.Parser.Parser, p: p, n: &hot.interpreted,
+		info: Info{Kind: KindInterpreted, Product: p.Name, Fingerprint: fingerprint}}
 }
 
-func (e interpreted) Info() Info {
-	return Info{Kind: KindInterpreted, Product: e.p.Name, Fingerprint: e.fp, NativeDiagnose: true}
-}
-func (e interpreted) Parse(sql string) (*parser.Tree, error)  { return e.p.Parse(sql) }
-func (e interpreted) Check(sql string) error                  { return e.p.Check(sql) }
-func (e interpreted) Accepts(sql string) bool                 { return e.p.Accepts(sql) }
-func (e interpreted) Diagnose(sql string) []parser.Diagnostic { return e.p.Diagnose(sql) }
+func (e *adapter) Info() Info { return e.info }
 
-// generated adapts a registered parser to the seam, counting served calls
-// and delegating Diagnose to the product's interpreted parser.
-type generated struct {
-	g Generated
-	p *core.Product
+func (e *adapter) Parse(sql string) (*parser.Tree, error) {
+	e.n.parses.Add(1)
+	return e.rt.Parse(sql)
 }
 
-func (e generated) Info() Info {
-	return Info{Kind: KindGenerated, Product: e.p.Name, Fingerprint: e.g.Fingerprint, NativeDiagnose: false}
+func (e *adapter) Check(sql string) error {
+	e.n.checks.Add(1)
+	return e.rt.Check(sql)
 }
 
-func (e generated) Parse(sql string) (*parser.Tree, error) {
-	hot.genParses.Add(1)
-	return e.g.Parse(sql)
-}
+func (e *adapter) Accepts(sql string) bool { return e.rt.Accepts(sql) }
 
-func (e generated) Check(sql string) error {
-	hot.genChecks.Add(1)
-	return e.g.Check(sql)
-}
-
-func (e generated) Accepts(sql string) bool {
-	return e.g.Accepts(sql)
-}
-
-func (e generated) Diagnose(sql string) []parser.Diagnostic {
-	hot.diagFallbacks.Add(1)
+// Diagnose runs the product's statement recovery, which only the
+// interpreted parser implements; a generated engine counts the fallback.
+func (e *adapter) Diagnose(sql string) []parser.Diagnostic {
+	hot.diagnoses.Add(1)
+	if e.info.Kind == KindGenerated {
+		hot.diagFallbacks.Add(1)
+	}
 	return e.p.Diagnose(sql)
 }
 
@@ -258,5 +271,6 @@ func ForProduct(p *core.Product, fingerprint string) (Engine, bool) {
 		hot.staleSkips.Add(1)
 		return Interpreted(p, fingerprint), false
 	}
-	return generated{g: g, p: p}, true
+	return &adapter{rt: g.Parser, p: p, n: &hot.generated,
+		info: Info{Kind: KindGenerated, Product: p.Name, Fingerprint: g.Fingerprint}}, true
 }

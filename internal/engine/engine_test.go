@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
@@ -58,11 +59,8 @@ func TestPresetPromotion(t *testing.T) {
 		if gen.Info().Product != string(name) {
 			t.Errorf("%s: promoted engine product = %q", name, gen.Info().Product)
 		}
-		if gen.Info().NativeDiagnose {
-			t.Errorf("%s: generated engine claims native Diagnose", name)
-		}
-		if !interp.Info().NativeDiagnose {
-			t.Errorf("%s: interpreted engine lost native Diagnose", name)
+		if interp.Info().Kind != engine.KindInterpreted {
+			t.Errorf("%s: interpreted engine kind = %s", name, interp.Info().Kind)
 		}
 	}
 }
@@ -211,9 +209,9 @@ func TestStaleRegistrationFallsBack(t *testing.T) {
 		Preset:      "stale-test",
 		Fingerprint: fp,
 		GrammarSHA:  "deadbeef", // anything but GrammarHash(p.Grammar, p.Tokens)
-		Parse:       func(string) (*parser.Tree, error) { panic("stale parser served") },
-		Check:       func(string) error { panic("stale parser served") },
-		Accepts:     func(string) bool { panic("stale parser served") },
+		// A parser with no tables scans nothing, so if it were served the
+		// probe below would be rejected.
+		Parser: &rt.Parser{},
 	})
 	t.Cleanup(func() { engine.Unregister(fp) })
 	before := engine.HotCounters().StaleSkips

@@ -1,8 +1,8 @@
 // Package lexer provides the configurable SQL scanner behind the
 // interpreted engine, statement recovery and streaming. It is the shared
 // runtime's scanner (internal/codegen/rt) — the one the generated parsers
-// run too — over tables that Tables builds from a token set, plus the
-// process-wide counters of the interpreted scans.
+// run too — over tables that Tables builds from a token set. It counts
+// nothing: engine work is counted at the engine seam (internal/engine).
 //
 // The paper separates grammars from token files and composes both; the
 // scanner is therefore *configurable*: it is constructed from a composed
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
@@ -194,59 +193,7 @@ func (l *Lexer) ScanInto(src string, buf []Token) ([]Token, error) {
 // statements as input arrives. Token offsets are absolute within src
 // regardless of off.
 func (l *Lexer) ScanPartialFrom(src string, off, line, col int, buf []Token) ([]Token, error) {
-	out, err := l.rt.ScanFrom(src, off, line, col, buf)
-	count(len(out)-len(buf), err)
-	return out, err
-}
-
-// ScanRun is ScanPartialFrom into a parse run of this lexer's runtime
-// parser, stamping each token's interned id: the interpreted engine's scan
-// and its recovery's rescans. Offset 0 starts the run's tokens afresh; a
-// later offset appends to them.
-func (l *Lexer) ScanRun(r *rt.Run, src string, off, line, col int) error {
-	n, err := l.rt.ScanRun(r, src, off, line, col)
-	count(n, err)
-	return err
-}
-
-// Counters is a snapshot of process-wide scanner counters, aggregated
-// across every Lexer. Like parser.Counters it exists for metrics scraping:
-// the serving layer samples it with a telemetry CounterFunc, so the lexer
-// itself depends on nothing. Fields are individually atomic and monotone;
-// the snapshot is not one consistent cut. Tokens is added once per
-// completed scan, not per token, keeping the hot-path cost to two atomic
-// adds per scan. Generated parsers scan on the runtime directly and are
-// not counted.
-type Counters struct {
-	// Scans counts scans: Scan, ScanInto, ScanPartialFrom and ScanRun calls.
-	Scans uint64
-	// Errors counts scans that failed with a lexical error.
-	Errors uint64
-	// Tokens counts tokens produced by successful scans.
-	Tokens uint64
-}
-
-var hot struct {
-	scans, errors, tokens atomic.Uint64
-}
-
-// count records one scan that produced n tokens or failed with err.
-func count(n int, err error) {
-	hot.scans.Add(1)
-	if err != nil {
-		hot.errors.Add(1)
-		return
-	}
-	hot.tokens.Add(uint64(n))
-}
-
-// HotCounters returns the current process-wide scan counters.
-func HotCounters() Counters {
-	return Counters{
-		Scans:  hot.scans.Load(),
-		Errors: hot.errors.Load(),
-		Tokens: hot.tokens.Load(),
-	}
+	return l.rt.ScanFrom(src, off, line, col, buf)
 }
 
 // Puncts returns the punctuation spellings of this scanner configuration,

@@ -11,10 +11,14 @@
 //
 // The engine runs on the runtime the generated parsers share
 // (internal/codegen/rt): a Parser is an rt.Parser whose start function
-// walks the compiled grammar, and scanning, the packrat memo, tree
-// building and the error pass are the runtime's. What differs from a
-// generated parser is only how productions are expressed — compiled
-// nodes walked at parse time instead of emitted Go functions.
+// walks the compiled grammar, and its Parse, Check and Accepts are the
+// runtime's own entry points — scanning, the MaxTokens cap, the packrat
+// memo, tree building and the error pass are all the runtime's. What
+// differs from a generated parser is only how productions are expressed
+// (compiled nodes walked at parse time instead of emitted Go functions)
+// and statement recovery (ParseRecover), which this package adds. The
+// package counts nothing; engine work is counted at the engine seam
+// (internal/engine).
 //
 // Composed grammars must be validated (grammar.Validate) before parsing:
 // the engine requires the absence of left recursion to terminate.
@@ -39,59 +43,10 @@
 package parser
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 	"sqlspl/internal/lexer"
 )
-
-// Counters is a snapshot of process-wide hot-path counters, aggregated
-// across every Parser in the process. The serving layer samples it at
-// metrics-scrape time (internal/telemetry CounterFunc), which is why it
-// lives here: the parser keeps its own atomics and stays free of any
-// telemetry dependency. Each field is read individually; the snapshot is
-// not one consistent cut, but every field is monotone.
-type Counters struct {
-	// Parses counts full parse passes requested: one per Parse, Accepts,
-	// Check or ParseRecover call that reached the engine.
-	Parses uint64
-	// Rejects counts parses that rejected their input.
-	Rejects uint64
-	// ErrorPasses counts second (expected-token-tracking) passes. Rejected
-	// inputs on the error-reporting entry points (Parse, Check, and each
-	// failing statement in ParseRecover) pay for one; accepted inputs never
-	// do, and Accepts skips it entirely.
-	ErrorPasses uint64
-	// Tokens counts tokens fed to the engine.
-	Tokens uint64
-	// Recoveries counts ParseRecover calls that entered the slow
-	// statement-resynchronization path (rejected or unscannable scripts).
-	Recoveries uint64
-	// Diagnostics counts diagnostics produced by recovery, sentinels
-	// included.
-	Diagnostics uint64
-}
-
-// hot holds the counters behind HotCounters. One atomic add per parse (two
-// on the reject path) — negligible against even the smallest parse.
-var hot struct {
-	parses, rejects, errorPasses, tokens atomic.Uint64
-	recoveries, diagnostics              atomic.Uint64
-}
-
-// HotCounters returns the current process-wide parse counters.
-func HotCounters() Counters {
-	return Counters{
-		Parses:      hot.parses.Load(),
-		Rejects:     hot.rejects.Load(),
-		ErrorPasses: hot.errorPasses.Load(),
-		Tokens:      hot.tokens.Load(),
-		Recoveries:  hot.recoveries.Load(),
-		Diagnostics: hot.diagnostics.Load(),
-	}
-}
 
 // Tree is a node of the concrete parse tree: a production node (Label
 // set) or a token leaf. It is the runtime's tree type (package rt), so
@@ -107,7 +62,8 @@ type Options struct {
 	// wide grammars.
 	DisablePrediction bool
 	// MaxTokens caps input length as a defence against pathological inputs
-	// in embedded deployments; 0 means no cap.
+	// in embedded deployments; 0 means no cap. It is the runtime parser's
+	// MaxTokens, which ParseRecover enforces as well.
 	MaxTokens int
 	// MaxDiagnostics caps how many diagnostics ParseRecover reports before
 	// appending the TooManyErrors sentinel and stopping; 0 means
@@ -115,14 +71,25 @@ type Options struct {
 	MaxDiagnostics int
 }
 
-// Parser parses SQL text for one composed product grammar.
+// Parser parses SQL text for one composed product grammar. It is the
+// runtime parser (rt.Parser) the grammar compiles to, so Parse, Check and
+// Accepts are the runtime's entry points:
+//
+//   - Parse scans and parses the whole input into a tree that owns its
+//     nodes and tokens; empty (whitespace/comment-only) input parses to a
+//     childless tree labelled with the start symbol.
+//   - Check reports membership without building a tree (the accept path
+//     is allocation-free); a reject pays for the expected-token-tracking
+//     pass that builds the *SyntaxError, and empty input checks clean.
+//   - Accepts is the strict boolean membership test: no tree, no error
+//     pass, and empty input is a grammar question.
 //
 // A Parser is safe for concurrent use: all fields are read-only after New,
 // and each call draws its mutable run state from the runtime's pool.
 type Parser struct {
+	*rt.Parser
 	g    *grammar.Grammar
 	lex  *lexer.Lexer
-	rt   *rt.Parser
 	opts Options
 }
 
@@ -140,8 +107,8 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 		return nil, err
 	}
 	prog := compile(g, refs, !opts.DisablePrediction)
-	rp.Prods, rp.Start, rp.Root = g.Len(), g.Start, prog.root
-	return &Parser{g: g, lex: lexer.Over(rp), rt: rp, opts: opts}, nil
+	rp.Prods, rp.Start, rp.Root, rp.MaxTokens = g.Len(), g.Start, prog.root, opts.MaxTokens
+	return &Parser{Parser: rp, g: g, lex: lexer.Over(rp), opts: opts}, nil
 }
 
 // Grammar returns the product grammar the parser was built from.
@@ -155,103 +122,6 @@ func (p *Parser) Lexer() *lexer.Lexer { return p.lex }
 // and the display names of the tokens that would have allowed progress.
 // It is the runtime's type (package rt), shared with generated parsers.
 type SyntaxError = rt.SyntaxError
-
-// Parse scans and parses src, returning the parse tree rooted at the
-// grammar's start symbol. The whole input must be consumed. The returned
-// tree owns its nodes and tokens: it stays valid after the parse's pooled
-// run-state is recycled. Empty input — whitespace/comment-only — parses
-// to a childless tree labelled with the start symbol.
-func (p *Parser) Parse(src string) (*Tree, error) {
-	r := p.rt.GetRun()
-	defer p.rt.PutRun(r)
-	n, err := p.scan(r, src)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		// Empty input is a clean "no statements" parse, not a
-		// farthest-failure at EOF. (Accepts deliberately stays strict:
-		// language membership of "" is a grammar question, and
-		// accept/reject matrices pin it.)
-		return &Tree{Label: p.g.Start}, nil
-	}
-	countPass(n)
-	tree, serr := p.rt.ParseRun(r)
-	if serr != nil {
-		countErrorPass()
-		return nil, serr
-	}
-	return tree, nil
-}
-
-// Accepts reports whether src parses under this grammar: the warm serving
-// path behind accept/reject matrices and batch verdicts. It materialises
-// no tree and skips the error-reporting pass, so in steady state the
-// accept path performs zero heap allocations.
-func (p *Parser) Accepts(src string) bool {
-	r := p.rt.GetRun()
-	defer p.rt.PutRun(r)
-	n, err := p.scan(r, src)
-	if err != nil {
-		return false
-	}
-	countPass(n)
-	if !p.rt.AcceptRun(r) {
-		hot.rejects.Add(1)
-		return false
-	}
-	return true
-}
-
-// Check reports whether src is in the language, returning nil on accept
-// and the scan or syntax error otherwise. Like Accepts it builds no tree
-// (the accept path is allocation-free); unlike Accepts a reject pays for
-// the second, expected-token-tracking pass to produce a full *SyntaxError.
-// Empty input (whitespace/comment-only) checks clean, matching Parse's
-// empty tree.
-func (p *Parser) Check(src string) error {
-	r := p.rt.GetRun()
-	defer p.rt.PutRun(r)
-	n, err := p.scan(r, src)
-	if err != nil || n == 0 {
-		return err
-	}
-	countPass(n)
-	if serr := p.rt.CheckRun(r, 0, n); serr != nil {
-		countErrorPass()
-		return serr
-	}
-	return nil
-}
-
-// scan tokenizes src into r and enforces MaxTokens, returning the token
-// count.
-func (p *Parser) scan(r *rt.Run, src string) (int, error) {
-	if err := p.lex.ScanRun(r, src, 0, 1, 1); err != nil {
-		return 0, err
-	}
-	n := len(r.Tokens())
-	return n, p.checkMaxTokens(n)
-}
-
-func (p *Parser) checkMaxTokens(n int) error {
-	if p.opts.MaxTokens > 0 && n > p.opts.MaxTokens {
-		return fmt.Errorf("input of %d tokens exceeds configured maximum %d", n, p.opts.MaxTokens)
-	}
-	return nil
-}
-
-// countPass counts one parse pass over n tokens; countErrorPass counts a
-// rejected pass that paid for the expected-token-tracking pass.
-func countPass(n int) {
-	hot.parses.Add(1)
-	hot.tokens.Add(uint64(n))
-}
-
-func countErrorPass() {
-	hot.rejects.Add(1)
-	hot.errorPasses.Add(1)
-}
 
 // root parses the start production at pos: the runtime parser's Root.
 func (pr *program) root(r *rt.Run, pos int) []rt.Result {

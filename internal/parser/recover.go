@@ -30,29 +30,22 @@ const DefaultMaxDiagnostics = 20
 // rides the same zero-allocation verdict path as Check: the slow
 // segmentation pass runs only after the whole-script parse has rejected.
 func (p *Parser) ParseRecover(src string) []Diagnostic {
-	r := p.rt.GetRun()
-	defer p.rt.PutRun(r)
-	lexErr := p.lex.ScanRun(r, src, 0, 1, 1)
+	r := p.GetRun()
+	defer p.PutRun(r)
+	_, lexErr := p.ScanRun(r, src, 0, 1, 1)
 	if lexErr == nil {
 		n := len(r.Tokens())
 		if n == 0 {
 			return nil
 		}
-		if err := p.checkMaxTokens(n); err != nil {
-			hot.recoveries.Add(1)
-			hot.diagnostics.Add(1)
+		if err := p.CheckLen(n); err != nil {
 			return []Diagnostic{{Span: Span{Line: 1, Col: 1}, Msg: err.Error()}}
 		}
-		countPass(n)
-		if p.rt.AcceptRun(r) {
+		if p.AcceptRun(r) {
 			return nil
 		}
-		hot.rejects.Add(1)
 	}
-	hot.recoveries.Add(1)
-	diags := p.recoverDiagnostics(r, src, lexErr == nil)
-	hot.diagnostics.Add(uint64(len(diags)))
-	return diags
+	return p.recoverDiagnostics(r, src, lexErr == nil)
 }
 
 // mark is a hard segment boundary recorded during the rescan pass: the
@@ -83,7 +76,7 @@ func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Dia
 		var ix *lexer.LineIndex
 		off, line, col := 0, 1, 1
 		for off <= len(src) && len(marks) <= maxDiags {
-			err := p.lex.ScanRun(r, src, off, line, col)
+			_, err := p.ScanRun(r, src, off, line, col)
 			if err == nil {
 				break
 			}
@@ -166,19 +159,18 @@ func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Dia
 			return
 		}
 		st := toks[lo:hi]
-		if p.opts.MaxTokens > 0 && len(st) > p.opts.MaxTokens {
+		if p.MaxTokens > 0 && len(st) > p.MaxTokens {
 			t := st[0]
 			emit(Diagnostic{
 				Span: Span{Start: t.Off, End: st[len(st)-1].End, Line: t.Line, Col: t.Col},
-				Msg:  fmt.Sprintf("statement of %d tokens exceeds configured maximum %d", len(st), p.opts.MaxTokens),
+				Msg:  fmt.Sprintf("statement of %d tokens exceeds configured maximum %d", len(st), p.MaxTokens),
 			})
 			return
 		}
-		serr := p.rt.CheckRun(r, lo, hi)
+		serr := p.CheckRun(r, lo, hi)
 		if serr == nil {
 			return
 		}
-		countErrorPass()
 		d := syntaxDiagnostic(serr)
 		if hasMore {
 			d.Hint = "statement skipped"

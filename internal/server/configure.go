@@ -227,16 +227,12 @@ func Configure(sol *configure.Solver, req *ConfigureRequest) (*ConfigureResponse
 	return nil, http.StatusBadRequest, fmt.Errorf("unreachable mode %q", mode)
 }
 
-// handleConfigure serves POST /v1/configure.
+// handleConfigure serves POST /v1/configure. It decodes like the parse
+// endpoints but keeps its own admission: it resolves no dialect, so the
+// shared request front does not apply.
 func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	var req ConfigureRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if !s.admit() {

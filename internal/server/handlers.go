@@ -12,9 +12,9 @@ import (
 	"sync"
 	"time"
 
+	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
-	"sqlspl/internal/product"
 	"sqlspl/internal/telemetry"
 )
 
@@ -30,12 +30,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decode reads a JSON body with the configured size cap.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
+// badRequest answers a counted 400 carrying msg.
+func (s *Server) badRequest(w http.ResponseWriter, msg string) {
+	s.m.badRequests.Inc()
+	writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
+}
+
+// decode reads a JSON body, capped at MaxBodyBytes and refusing unknown
+// fields, into v. On failure it answers the 400 itself and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		s.badRequest(w, fmt.Sprintf("bad request: %v", err))
+		return false
+	}
+	return true
 }
 
 // reject429 sheds one request at the admission controller.
@@ -45,25 +56,22 @@ func (s *Server) reject429(w http.ResponseWriter) {
 	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "server at capacity; retry"})
 }
 
-// serve is the admitted part of /v1/parse, /v1/format and /v1/batch: take
-// an admission slot (429 at capacity), count the request, resolve its
-// selection (400 on a bad one), then run work on the engine in its own
-// goroutine under the request deadline and answer with its result. The
-// engine has no preemption points, so the deadline is enforced around the
-// work, not inside it: an overrunning request gets 504 and its work is
-// abandoned to finish in the background. That goroutine owns the slot
-// from then on and frees it when work returns or panics, so abandoned
-// work still counts against MaxInFlight. A panic in work answers 500;
-// what names the work in error messages.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admitted *telemetry.Counter,
-	dialectName string, features []string, work func(ctx context.Context, eng engine.Engine) any) {
+// front is the request front /v1/parse, /v1/format, /v1/batch and
+// /v1/stream share: take an admission slot (429 at capacity), count the
+// request on admitted, resolve its selection (400 on a bad one) and count
+// its dialect. Admission comes first because resolving an unseen
+// selection builds it, and that build must not run while the server is
+// shedding load. When front answers the request itself it reports false
+// and holds no slot; otherwise the caller owns the slot and must release
+// it.
+func (s *Server) front(w http.ResponseWriter, admitted *telemetry.Counter,
+	dialectName string, features []string) (prod *core.Product, eng engine.Engine, ok bool) {
 	if !s.admit() {
 		s.reject429(w)
-		return
+		return nil, nil, false
 	}
-	handedOff := false
 	defer func() {
-		if !handedOff {
+		if !ok { // also on a panic, which withRecovery answers
 			s.release()
 		}
 	}()
@@ -71,19 +79,33 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admi
 	if s.testHookAdmitted != nil {
 		s.testHookAdmitted()
 	}
-
-	_, eng, label, err := s.resolve(dialectName, features)
+	prod, eng, label, err := s.resolve(dialectName, features)
 	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		s.badRequest(w, err.Error())
+		return nil, nil, false
 	}
 	s.m.dialect(label).Inc()
+	return prod, eng, true
+}
 
+// serve runs the admitted part of /v1/parse, /v1/format and /v1/batch:
+// after the shared front, work runs on the engine in its own goroutine
+// under the request deadline, and its result is the answer. The engine
+// has no preemption points, so the deadline is enforced around the work,
+// not inside it: an overrunning request gets 504 and its work is
+// abandoned to finish in the background. That goroutine owns the slot
+// and frees it when work returns or panics, so abandoned work still
+// counts against MaxInFlight. A panic in work answers 500; what names the
+// work in error messages.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admitted *telemetry.Counter,
+	dialectName string, features []string, work func(ctx context.Context, eng engine.Engine) any) {
+	_, eng, ok := s.front(w, admitted, dialectName, features)
+	if !ok {
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	done := make(chan any, 1)
-	handedOff = true
 	go func() {
 		var resp any
 		// A panic here would kill the whole daemon, not just the request:
@@ -116,19 +138,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admi
 
 // handleParse serves POST /v1/parse.
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	var req ParseRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if !ValidWant(req.Want) {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown want %q (verdict|tree|ast|render|analysis)", req.Want)})
+		s.badRequest(w, fmt.Sprintf("unknown want %q (verdict|tree|ast|render|analysis)", req.Want))
 		return
 	}
 	s.serve(w, r, "parse", s.m.parseReqs, req.Dialect, req.Features, func(_ context.Context, eng engine.Engine) any {
@@ -150,14 +165,8 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 // handleFormat serves POST /v1/format: parse under the selected product,
 // re-render through the typed AST printers (canonical or minified).
 func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	var req FormatRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
+	if !s.decode(w, r, &req) {
 		return
 	}
 	s.serve(w, r, "format", s.m.formatReqs, req.Dialect, req.Features, func(_ context.Context, eng engine.Engine) any {
@@ -179,24 +188,16 @@ func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 // no scanner and no window; /v1/stream and sqlparse -batch check their
 // statements through stream.Pipeline instead.)
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	var req BatchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "batch has no queries"})
+		s.badRequest(w, "batch has no queries")
 		return
 	}
 	if !ValidWant(req.Want) && req.Want != "" {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown want %q", req.Want)})
+		s.badRequest(w, fmt.Sprintf("unknown want %q", req.Want))
 		return
 	}
 	s.serve(w, r, "batch", s.m.batchReqs, req.Dialect, req.Features, func(ctx context.Context, eng engine.Engine) any {
@@ -278,7 +279,7 @@ func (s *Server) batchOne(eng engine.Engine, req *BatchRequest, results []BatchR
 // rejection), so the response is identical either way. Shapes that
 // materialise a tree never consult the cache.
 func (s *Server) outcome(eng engine.Engine, sql, want string) *ParseResponse {
-	if want != WantVerdict || s.vcache == nil {
+	if want != WantVerdict {
 		return Outcome(eng, sql, want)
 	}
 	start := time.Now()
@@ -290,21 +291,6 @@ func (s *Server) outcome(eng engine.Engine, sql, want string) *ParseResponse {
 	}
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	return resp
-}
-
-// verdict is the raw form of outcome's cached path, for callers (the
-// stream handler) that relocate diagnostics themselves. With caching
-// disabled it computes the verdict directly.
-func (s *Server) verdict(eng engine.Engine, sql string) *product.Verdict {
-	if s.vcache != nil {
-		return s.vcache.Verdict(eng, sql)
-	}
-	v := &product.Verdict{}
-	if err := eng.Check(sql); err != nil {
-		v.Err = err
-		v.Diags = eng.Diagnose(sql)
-	}
-	return v
 }
 
 // orVerdict maps the batch "verdict only" default onto the verdict shape,
@@ -323,11 +309,7 @@ func orVerdict(want string) string {
 // handleDialects serves GET /v1/dialects: the presets, their sizes, and
 // whether each is already resident in the catalog. It reads the catalog
 // without counting, so listing leaves the traffic counters untouched.
-func (s *Server) handleDialects(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
-		return
-	}
+func (s *Server) handleDialects(w http.ResponseWriter, _ *http.Request) {
 	var out []DialectInfo
 	for _, name := range dialect.Names() {
 		sel, err := dialect.Selection(name)

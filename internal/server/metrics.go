@@ -1,6 +1,7 @@
 // metrics.go wires the serving subsystem into the telemetry registry:
 // handler-owned counters and histograms, plus scrape-time samplers over
-// the counters other packages own (product catalog, parser, lexer).
+// the counters other packages own (product catalog, verdict cache,
+// configuration memo, engine seam, analysis pass).
 package server
 
 import (
@@ -9,8 +10,6 @@ import (
 	"sqlspl/internal/analyze"
 	"sqlspl/internal/configure"
 	"sqlspl/internal/engine"
-	"sqlspl/internal/lexer"
-	"sqlspl/internal/parser"
 	"sqlspl/internal/product"
 	"sqlspl/internal/telemetry"
 )
@@ -81,20 +80,17 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 	reg.GaugeFunc("sqlspl_product_cache_inflight_builds", "builds currently running",
 		func() float64 { return float64(cat.Stats().InFlight) })
 
-	// Hot-statement verdict cache, sampled at scrape time. Absent when the
-	// server was configured with caching disabled.
-	if vcache != nil {
-		reg.CounterFunc("sqlspl_verdict_cache_hits_total", "statement verdicts answered from the hot-statement cache",
-			func() uint64 { return vcache.Stats().Hits })
-		reg.CounterFunc("sqlspl_verdict_cache_misses_total", "statement verdicts computed by an engine",
-			func() uint64 { return vcache.Stats().Misses })
-		reg.CounterFunc("sqlspl_verdict_cache_shared_total", "verdict lookups coalesced onto an in-flight computation",
-			func() uint64 { return vcache.Stats().Shared })
-		reg.CounterFunc("sqlspl_verdict_cache_evictions_total", "verdicts evicted by the per-shard LRU",
-			func() uint64 { return vcache.Stats().Evictions })
-		reg.GaugeFunc("sqlspl_verdict_cache_entries", "verdicts currently cached",
-			func() float64 { return float64(vcache.Stats().Entries) })
-	}
+	// Hot-statement verdict cache, sampled at scrape time.
+	reg.CounterFunc("sqlspl_verdict_cache_hits_total", "statement verdicts answered from the hot-statement cache",
+		func() uint64 { return vcache.Stats().Hits })
+	reg.CounterFunc("sqlspl_verdict_cache_misses_total", "statement verdicts computed by an engine",
+		func() uint64 { return vcache.Stats().Misses })
+	reg.CounterFunc("sqlspl_verdict_cache_shared_total", "verdict lookups coalesced onto an in-flight computation",
+		func() uint64 { return vcache.Stats().Shared })
+	reg.CounterFunc("sqlspl_verdict_cache_evictions_total", "verdicts evicted by the per-shard LRU",
+		func() uint64 { return vcache.Stats().Evictions })
+	reg.GaugeFunc("sqlspl_verdict_cache_entries", "verdicts currently cached",
+		func() float64 { return float64(vcache.Stats().Entries) })
 
 	// Configuration-completion memo (configure.CachedComplete), behind the
 	// same sharded cache primitive.
@@ -106,47 +102,33 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 		func() float64 { return float64(solver.CompletionCacheStats().Entries) })
 
 	// Engine-seam counters: how many builds promoted to a generated
-	// backend, and how much traffic the generated engines actually served
-	// (process-wide, like the parser/lexer counters below).
+	// backend, and the engine work each backend served — the one place
+	// engine work is counted (process-wide, so they include non-server
+	// engine calls in the same process; DESIGN §8).
 	reg.CounterFunc("sqlspl_catalog_promotions_total", "builds promoted to a registered generated engine",
 		func() uint64 { return cat.Stats().Promotions })
 	reg.CounterFunc("sqlspl_engine_generated_parses_total", "Parse calls served by generated engines",
 		func() uint64 { return engine.HotCounters().GenParses })
 	reg.CounterFunc("sqlspl_engine_generated_checks_total", "Check calls served by generated engines",
 		func() uint64 { return engine.HotCounters().GenChecks })
+	reg.CounterFunc("sqlspl_engine_interpreted_parses_total", "Parse calls served by interpreted engines",
+		func() uint64 { return engine.HotCounters().InterpParses })
+	reg.CounterFunc("sqlspl_engine_interpreted_checks_total", "Check calls served by interpreted engines",
+		func() uint64 { return engine.HotCounters().InterpChecks })
+	reg.CounterFunc("sqlspl_engine_diagnoses_total", "Diagnose (statement recovery) calls served by either engine kind",
+		func() uint64 { return engine.HotCounters().Diagnoses })
 	reg.CounterFunc("sqlspl_engine_diagnose_fallbacks_total", "Diagnose calls generated engines delegated to the interpreted parser",
 		func() uint64 { return engine.HotCounters().DiagFallbacks })
 	reg.CounterFunc("sqlspl_engine_stale_skips_total", "promotions refused because the registered parser's grammar hash was stale",
 		func() uint64 { return engine.HotCounters().StaleSkips })
 
-	// Analysis-pass counters (process-wide, like the parser/lexer counters
-	// below): statements analysed and how many were Generic fallbacks the
+	// Analysis-pass counters (process-wide, like the engine counters
+	// above): statements analysed and how many were Generic fallbacks the
 	// analysis could only flag as incomplete.
 	reg.CounterFunc("sqlspl_analyze_statements_total", "statements run through the analysis pass",
 		func() uint64 { return analyze.HotCounters().Statements })
 	reg.CounterFunc("sqlspl_analyze_incomplete_total", "analysed statements flagged incomplete (unmodelled syntax)",
 		func() uint64 { return analyze.HotCounters().Incomplete })
-
-	// Parser/lexer hot-path counters (process-wide, so they include
-	// non-server parses in the same process — documented in DESIGN §8).
-	// They count interpreted-engine, statement-recovery and stream-scanner
-	// work; generated engines bump only the engine counters above.
-	reg.CounterFunc("sqlspl_parser_parses_total", "parse passes run by the interpreted engine and statement recovery, process-wide (generated engines not counted)",
-		func() uint64 { return parser.HotCounters().Parses })
-	reg.CounterFunc("sqlspl_parser_rejects_total", "parses that returned a syntax error",
-		func() uint64 { return parser.HotCounters().Rejects })
-	reg.CounterFunc("sqlspl_parser_tokens_total", "tokens fed to the parse engine",
-		func() uint64 { return parser.HotCounters().Tokens })
-	reg.CounterFunc("sqlspl_parser_recoveries_total", "statement-recovery passes over rejected scripts",
-		func() uint64 { return parser.HotCounters().Recoveries })
-	reg.CounterFunc("sqlspl_parser_diagnostics_total", "diagnostics produced by statement recovery",
-		func() uint64 { return parser.HotCounters().Diagnostics })
-	reg.CounterFunc("sqlspl_lexer_scans_total", "scans run by the interpreted engine, statement recovery and the stream scanner, process-wide (generated engines not counted)",
-		func() uint64 { return lexer.HotCounters().Scans })
-	reg.CounterFunc("sqlspl_lexer_tokens_total", "tokens produced by successful scans",
-		func() uint64 { return lexer.HotCounters().Tokens })
-	reg.CounterFunc("sqlspl_lexer_errors_total", "scans that failed with a lexical error",
-		func() uint64 { return lexer.HotCounters().Errors })
 	return m
 }
 

@@ -12,6 +12,11 @@
 //
 // Operational behaviour, in the order a request meets it:
 //
+//   - Routing: each endpoint is a method pattern, so a wrong method gets
+//     the mux's 405 with an Allow header before any handler runs.
+//   - Front: /v1/parse, /v1/format, /v1/batch and /v1/stream share one
+//     request front — admission, request count, resolve, dialect count —
+//     and every JSON body decodes through one decoder that answers 400.
 //   - Admission: a semaphore bounds in-flight requests (Config.MaxInFlight).
 //     At saturation the server answers 429 with Retry-After immediately
 //     rather than queueing — load-shedding at the front door keeps parse
@@ -28,9 +33,8 @@
 // Telemetry: every server owns a telemetry.Registry exposed at /metrics
 // (Prometheus text or JSON). Request counters, per-dialect counters and
 // the parse-latency histogram are maintained by the handlers; the product
-// catalog's hit/miss/coalesce counters and the parser/lexer hot-path
-// counters are sampled at scrape time, making cache behaviour under load
-// visible for the first time.
+// catalog's and verdict cache's counters and the engine seam's per-kind
+// counters of engine work are sampled at scrape time.
 package server
 
 import (
@@ -78,11 +82,6 @@ type Config struct {
 	// incrementally and so may be far larger than MaxBodyBytes;
 	// <= 0 means 256 MiB.
 	MaxStreamBytes int64
-	// CacheCapacity bounds the hot-statement verdict cache consulted by
-	// the verdict paths of /v1/parse, /v1/batch and /v1/stream before
-	// engine dispatch: 0 means product.DefaultVerdictCacheCapacity, a
-	// negative value disables verdict caching entirely.
-	CacheCapacity int
 	// Warm lists presets to build before the server reports ready.
 	Warm []dialect.Name
 }
@@ -94,7 +93,7 @@ type Server struct {
 	cat    *product.Catalog
 	reg    *telemetry.Registry
 	solver *configure.Solver
-	vcache *product.VerdictCache // nil when Config.CacheCapacity < 0
+	vcache *product.VerdictCache
 	sem    chan struct{}
 	mux    *http.ServeMux
 	hs     *http.Server
@@ -148,19 +147,19 @@ func New(cfg Config) *Server {
 		reg:    cfg.Registry,
 		solver: configure.New(cfg.Catalog.Model()),
 		sem:    make(chan struct{}, cfg.MaxInFlight),
-	}
-	if cfg.CacheCapacity >= 0 {
-		s.vcache = product.NewVerdictCache(cfg.CacheCapacity)
+		vcache: product.NewVerdictCache(product.DefaultVerdictCacheCapacity),
 	}
 	s.m = newMetricsBundle(s.reg, s.cat, s.vcache, s.solver)
 
+	// Method patterns: the mux answers a wrong method with 405 and an
+	// Allow header, so no handler checks r.Method.
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/parse", s.handleParse)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/format", s.handleFormat)
-	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/v1/configure", s.handleConfigure)
-	s.mux.HandleFunc("/v1/dialects", s.handleDialects)
+	s.mux.HandleFunc("POST /v1/parse", s.handleParse)
+	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mux.HandleFunc("POST /v1/format", s.handleFormat)
+	s.mux.HandleFunc("POST /v1/stream", s.handleStream)
+	s.mux.HandleFunc("POST /v1/configure", s.handleConfigure)
+	s.mux.HandleFunc("GET /v1/dialects", s.handleDialects)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

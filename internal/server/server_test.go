@@ -18,7 +18,6 @@ import (
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
 	"sqlspl/internal/feature"
-	"sqlspl/internal/parser"
 	"sqlspl/internal/product"
 	"sqlspl/internal/sql2003"
 	"sqlspl/internal/telemetry"
@@ -546,15 +545,15 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	}
 
 	// An explicit feature selection is served by the interpreter, whose
-	// parses the parser counter counts.
-	parses := parser.HotCounters().Parses
+	// parses the seam counts under its own kind.
+	parses := engine.HotCounters().InterpParses
 	if status, body, _ := postJSON(t, client, "http://"+addr+"/v1/parse",
 		ParseRequest{Features: mustConfig(t, dialect.Minimal).Names(), SQL: "SELECT a FROM t"}); status != http.StatusOK {
 		t.Fatalf("custom-features parse = %d: %s", status, body)
 	}
 	snap = metricsJSON(t, client, addr)
-	if m := snap.Find("sqlspl_parser_parses_total"); m == nil || m.Value != float64(parses+1) {
-		t.Errorf("json parser counter = %+v, want %d", m, parses+1)
+	if m := snap.Find("sqlspl_engine_interpreted_parses_total"); m == nil || m.Value != float64(parses+1) {
+		t.Errorf("json interpreted-parse counter = %+v, want %d", m, parses+1)
 	}
 }
 
@@ -622,5 +621,33 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if !byName["minimal"].Built || byName["warehouse"].Built {
 		t.Errorf("built flags wrong: %+v", byName)
+	}
+}
+
+// TestWrongMethod405: each route's method pattern answers a wrong method
+// with the mux's 405 and an Allow header naming the right one, before any
+// handler, admission or counter runs.
+func TestWrongMethod405(t *testing.T) {
+	s := freshServer(t, Config{})
+	h := s.Handler()
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/parse", "POST"},
+		{http.MethodGet, "/v1/batch", "POST"},
+		{http.MethodGet, "/v1/format", "POST"},
+		{http.MethodGet, "/v1/stream", "POST"},
+		{http.MethodPut, "/v1/configure", "POST"},
+		{http.MethodPost, "/v1/dialects", "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", c.method, c.path, rec.Code)
+		}
+		if got := rec.Header().Get("Allow"); got != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
+		}
+	}
+	if n := s.m.badRequests.Value() + s.m.rejected.Value(); n != 0 {
+		t.Errorf("wrong-method requests reached a handler: %d counted", n)
 	}
 }

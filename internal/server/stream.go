@@ -61,30 +61,16 @@ type StreamSummary struct {
 
 // handleStream serves POST /v1/stream?dialect=NAME (or ?features=a,b,c).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	q := r.URL.Query()
 	var features []string
 	if f := q.Get("features"); f != "" {
 		features = strings.Split(f, ",")
 	}
-	// Admission comes first: resolving an unseen selection builds it, and
-	// that build must not run while the server is shedding load.
-	if !s.admit() {
-		s.reject429(w)
+	prod, eng, ok := s.front(w, s.m.streamReqs, q.Get("dialect"), features)
+	if !ok {
 		return
 	}
 	defer s.release()
-	s.m.streamReqs.Inc()
-	prod, eng, label, err := s.resolve(q.Get("dialect"), features)
-	if err != nil {
-		s.m.badRequests.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	s.m.dialect(label).Inc()
 
 	// The handler interleaves request-body reads with response writes. On
 	// HTTP/1 the server otherwise consumes (and beyond 256 KiB, discards)
@@ -126,7 +112,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if s.testHookStreamCheck != nil {
 				s.testHookStreamCheck(st.Text)
 			}
-			return s.verdict(eng, st.Text)
+			return s.vcache.Verdict(eng, st.Text)
 		},
 		Emit: func(st *stream.Stmt, v *product.Verdict) {
 			rec := StreamResult{Seq: st.Seq, OK: v != nil && v.OK(), Off: st.Off, Line: st.Line, Bytes: len(st.Text)}

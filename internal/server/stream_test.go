@@ -353,34 +353,6 @@ func TestVerdictPathsShareTheCache(t *testing.T) {
 	}
 }
 
-// CacheCapacity < 0 disables the verdict cache without changing any
-// response shape.
-func TestVerdictCacheDisabled(t *testing.T) {
-	s := freshServer(t, Config{CacheCapacity: -1})
-	addr := startServer(t, s)
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-
-	if s.vcache != nil {
-		t.Fatal("negative CacheCapacity did not disable the cache")
-	}
-	status, body, _ := postJSON(t, client, "http://"+addr+"/v1/parse",
-		ParseRequest{Dialect: "core", SQL: "SELECT a FROM t", Want: WantVerdict})
-	if status != http.StatusOK {
-		t.Fatalf("parse status %d: %s", status, body)
-	}
-	var resp ParseResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("verdict = %+v", resp)
-	}
-	if _, sum, _ := postStream(t, client, "http://"+addr+"/v1/stream?dialect=core", "SELECT a FROM t;"); sum.Accepted != 1 {
-		t.Fatalf("stream without cache: %+v", sum)
-	}
-}
-
 // TestStreamPanicContained: the stream's statement workers run outside
 // the recovery middleware. A panic while checking one statement answers
 // that record with an internal-error diagnostic and is counted; the rest
