@@ -211,9 +211,11 @@ func runLoadgen(cfg loadgenConfig) error {
 		latencyObserved: cfg.total + probeParse + probeFormat,
 		catalogResolves: cfg.total + probeParse + probeFormat,
 		verdictLookups:  -1,
+		generatedParses: cfg.total + probeParse + probeFormat,
 	}
 	if cfg.want == server.WantVerdict {
 		expect.verdictLookups = int64(cfg.total)
+		expect.generatedParses -= cfg.total
 		for _, d := range cfg.dialects {
 			expect.verdictDistinct += int64(len(pool[d]))
 		}
@@ -632,6 +634,7 @@ type metricsExpect struct {
 	verdictLookups   int64 // verdict-cache hits+misses+shared must sum to this
 	verdictDistinct  int64 // ... and misses must not exceed this
 	verdictExact     bool  // ... or, when set, must equal it
+	generatedParses  int   // generated Parse calls: parse and format requests not answered by verdict
 }
 
 // verifyMetrics scrapes /metrics as JSON and asserts the loadgen
@@ -640,7 +643,10 @@ type metricsExpect struct {
 // the catalog exactly once), the stream counters account for every
 // streamed request and statement, and — on the verdict path — the verdict
 // cache saw exactly one lookup per statement with misses bounded by the
-// distinct statements driven.
+// distinct statements driven. The engine seam's counters must agree: one
+// generated Check per verdict-cache miss, one generated Parse per other
+// parse or format request, and no interpreted work or Diagnose, since
+// loadgen sends only valid preset statements.
 func verifyMetrics(client *http.Client, base string, expect metricsExpect) (mismatches int, err error) {
 	resp, err := client.Get(base + "/metrics?format=json")
 	if err != nil {
@@ -732,6 +738,33 @@ func verifyMetrics(client *http.Client, base string, expect metricsExpect) (mism
 			fmt.Printf("telemetry: verdict cache hits %.0f + misses %.0f + coalesced %.0f = %d lookups (%s%d distinct)\n",
 				vh, vm, vs, expect.verdictLookups, bound, expect.verdictDistinct)
 		}
+	}
+
+	before := mismatches
+	parses := value("sqlspl_engine_generated_parses_total")
+	if parses != float64(expect.generatedParses) {
+		fmt.Printf("telemetry MISMATCH: engine generated parses %.0f, want %d\n", parses, expect.generatedParses)
+		mismatches++
+	}
+	checks, vm := value("sqlspl_engine_generated_checks_total"), value("sqlspl_verdict_cache_misses_total")
+	if checks != vm {
+		fmt.Printf("telemetry MISMATCH: engine generated checks %.0f, want the %.0f verdict-cache misses\n", checks, vm)
+		mismatches++
+	}
+	for _, name := range []string{
+		"sqlspl_engine_interpreted_parses_total",
+		"sqlspl_engine_interpreted_checks_total",
+		"sqlspl_engine_diagnoses_total",
+		"sqlspl_engine_diagnose_fallbacks_total",
+	} {
+		if v := value(name); v != 0 {
+			fmt.Printf("telemetry MISMATCH: %s = %.0f, want 0\n", name, v)
+			mismatches++
+		}
+	}
+	if mismatches == before {
+		fmt.Printf("telemetry: engine seam generated parses %.0f, checks %.0f (= verdict misses), no interpreted work or Diagnose\n",
+			parses, checks)
 	}
 	return mismatches, nil
 }

@@ -1,20 +1,33 @@
+// Package cache provides the sharded, bounded, single-flight result cache
+// that the serving layer hangs hot-path memoization off: statement
+// verdicts (internal/product) and configuration completions
+// (internal/configure). Keys carry a seeded 64-bit hash of the payload
+// instead of the payload itself, so a cached miss/hit costs a fixed-size
+// map probe regardless of statement length.
 package cache
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
+// seed keys every Sum in this process. It is random per process and never
+// leaves it, so a client cannot compute which payloads share a Sum and
+// craft a statement that takes over another statement's entry.
+var seed = maphash.MakeSeed()
+
 // Key identifies one cached result. Space partitions hash spaces (a
 // catalog fingerprint, a cache name) so identical payloads under
-// different dialects never collide; Sum is Hash64 of the payload and Len
-// its length — a cheap extra discriminator that turns a 64-bit hash
-// collision into a full-key mismatch unless lengths also agree. The
+// different dialects never collide; Sum is the seeded hash of the payload
+// and Len its length — a cheap extra discriminator that turns a 64-bit
+// hash collision into a full-key mismatch unless lengths also agree. The
 // payload itself is deliberately NOT part of the key: a multi-megabyte
 // statement costs the same fixed-size probe as a short one, and the cache
 // never pins request bodies. The residual risk — two same-length, same-
-// Space payloads with equal xxHashes sharing an entry — is accepted and
-// documented in DESIGN §13.
+// Space payloads with equal Sums sharing an entry, ~2⁻⁶⁴ per pair since
+// the seed is secret — is accepted and documented in DESIGN §13. Keys are
+// valid only within the process that made them.
 type Key struct {
 	Space string
 	Sum   uint64
@@ -23,7 +36,7 @@ type Key struct {
 
 // KeyOf builds the Key for payload in the given space.
 func KeyOf(space, payload string) Key {
-	return Key{Space: space, Sum: Hash64(payload), Len: len(payload)}
+	return Key{Space: space, Sum: maphash.String(seed, payload), Len: len(payload)}
 }
 
 // Stats is a point-in-time snapshot of cache counters. Hits+Misses+Shared

@@ -7,48 +7,6 @@ import (
 	"testing"
 )
 
-// The empty-input value is the published xxHash64 seed-0 vector; the rest
-// are golden values from this implementation covering every length class
-// (<4, 4..7, 8..31, >=32, and stripe remainders), pinned so refactors
-// cannot silently change the function — cached entries keyed by old sums
-// would all miss after a drift.
-func TestHash64(t *testing.T) {
-	if got := Hash64(""); got != 0xEF46DB3751D8E999 {
-		t.Fatalf("Hash64(\"\") = %#x, want the published vector 0xEF46DB3751D8E999", got)
-	}
-	long := ""
-	for len(long) < 101 {
-		long += "0123456789abcdefghijklmnopqrstuvwxyz"
-	}
-	golden := []struct {
-		in  string
-		sum uint64
-	}{
-		{"a", 0xd24ec4f1a98c6e5b},   // published XXH64 seed-0 vector
-		{"abc", 0x44bc2cf5ad770999}, // published XXH64 seed-0 vector
-		{"SELECT", 0x934808d6dc1ea35e},
-		{"SELECT a FROM t", 0xe41fc1f64acba7e8},
-		{"SELECT a, b, c FROM table_name WHERE x = 1", 0x721168ecb70c05c3},
-		{long[:101], 0x45c05db05b9812d9},
-	}
-	for _, g := range golden {
-		if got := Hash64(g.in); got != g.sum {
-			t.Errorf("Hash64(%q) = %#x, want %#x", g.in, got, g.sum)
-		}
-	}
-	// Single-byte perturbation anywhere must change the sum (sanity, not a
-	// cryptographic claim).
-	base := "INSERT INTO metrics (k, v) VALUES ('cpu', 99);"
-	h := Hash64(base)
-	for i := range base {
-		b := []byte(base)
-		b[i] ^= 1
-		if Hash64(string(b)) == h {
-			t.Errorf("flipping byte %d did not change the hash", i)
-		}
-	}
-}
-
 func TestKeyOf(t *testing.T) {
 	a := KeyOf("fp1", "SELECT 1")
 	b := KeyOf("fp2", "SELECT 1")
@@ -60,6 +18,11 @@ func TestKeyOf(t *testing.T) {
 	}
 	if a.Len != len("SELECT 1") {
 		t.Fatalf("Len = %d", a.Len)
+	}
+	// Same length and the same unseeded 64-bit xxHash: a client that could
+	// predict Sum could poison one statement's verdict with the other's.
+	if KeyOf("fp1", "SELECTc$g+z7E>oX") == KeyOf("fp1", "SELECT a FROM tt") {
+		t.Fatal("the xxHash collision pair shares a key")
 	}
 }
 

@@ -11,6 +11,7 @@ package parser
 // checked individually.
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,13 +38,22 @@ func buildScriptParserTB(tb testing.TB, opts Options) *Parser {
 	return p
 }
 
+// smallReads returns at most n bytes from each Read, so the scanner's
+// reads split tokens at every chunk size under test.
+type smallReads struct {
+	r io.Reader
+	n int
+}
+
+func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), s.n)]) }
+
 // streamedDiagnostics checks src statement-by-statement through the
 // scanner at the given chunk size and returns every statement's recovery
 // diagnostics relocated into whole-script coordinates — the serving
 // layer's algorithm, restated over the parser directly.
 func streamedDiagnostics(tb testing.TB, p *Parser, src string, chunk int) []Diagnostic {
 	tb.Helper()
-	sc := stream.NewScanner(p.Lexer(), strings.NewReader(src), stream.Config{Chunk: chunk, MaxChunk: chunk})
+	sc := stream.NewScanner(p.Lexer(), smallReads{strings.NewReader(src), chunk}, stream.Config{})
 	type pending struct {
 		text      string
 		off, line int
@@ -147,7 +157,7 @@ func FuzzStreamSegment(f *testing.F) {
 		}
 		chunk := int(chunkSeed)%64 + 1
 
-		sc := stream.NewScanner(p.Lexer(), strings.NewReader(src), stream.Config{Chunk: chunk, MaxChunk: chunk})
+		sc := stream.NewScanner(p.Lexer(), smallReads{strings.NewReader(src), chunk}, stream.Config{})
 		var concat strings.Builder
 		clean := true
 		for {

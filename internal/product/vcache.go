@@ -1,12 +1,14 @@
 // vcache.go is the hot-statement verdict cache: a sharded, bounded,
 // single-flight memo (internal/cache) over per-statement Check outcomes,
-// keyed on (engine fingerprint, xxhash of the statement bytes). The
+// keyed on (engine fingerprint, seeded hash of the statement bytes). The
 // serving layer consults it before dispatching to an engine, so repeated
 // statements — the dominant shape of parse-service traffic — cost a map
-// probe instead of a parse. Coherence is free: the fingerprint names the
-// exact composed grammar, so a cache entry can never be served to a
-// dialect it was not computed under, and entries need no invalidation —
-// a product is immutable for the life of its fingerprint.
+// probe instead of a parse. All clients share it; the per-process seed
+// keeps any of them from crafting a statement that answers for another.
+// Coherence is free: the fingerprint names the exact composed grammar, so
+// a cache entry can never be served to a dialect it was not computed
+// under, and entries need no invalidation — a product is immutable for
+// the life of its fingerprint.
 package product
 
 import (

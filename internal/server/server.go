@@ -78,10 +78,6 @@ type Config struct {
 	BatchWorkers int
 	// MaxBodyBytes caps request bodies; <= 0 means 4 MiB.
 	MaxBodyBytes int64
-	// MaxStreamBytes caps /v1/stream request bodies, which are processed
-	// incrementally and so may be far larger than MaxBodyBytes;
-	// <= 0 means 256 MiB.
-	MaxStreamBytes int64
 	// Warm lists presets to build before the server reports ready.
 	Warm []dialect.Name
 }
@@ -137,9 +133,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 4 << 20
-	}
-	if cfg.MaxStreamBytes <= 0 {
-		cfg.MaxStreamBytes = 256 << 20
 	}
 	s := &Server{
 		cfg:    cfg,

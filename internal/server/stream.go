@@ -28,6 +28,10 @@ import (
 	"sqlspl/internal/stream"
 )
 
+// maxStreamBytes caps a /v1/stream body. Bodies are read incrementally,
+// so the cap bounds work per request, not memory.
+const maxStreamBytes = 256 << 20
+
 // streamFlushEvery bounds how many statement records buffer before the
 // response is flushed to the client — frequent enough that a slow scan
 // still shows progress, rare enough that flushing does not dominate.
@@ -84,8 +88,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// One statement may buffer at most MaxBodyBytes — the same bound a
 	// non-streaming request lives under — while the body overall is capped
-	// only by MaxStreamBytes. That pair is the endpoint's memory contract.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes)
+	// only by maxStreamBytes. That pair is the endpoint's memory contract.
+	body := http.MaxBytesReader(w, r.Body, maxStreamBytes)
 	sc := stream.NewScanner(prod.Parser.Lexer(), body, stream.Config{MaxStatement: int(s.cfg.MaxBodyBytes)})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -353,6 +353,39 @@ func TestVerdictPathsShareTheCache(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheNotPoisonable: the verdict cache is shared by every
+// client and keys a statement by its length and hash, never its text. The
+// two statements below are 16 bytes each with equal unseeded 64-bit
+// xxHash sums, so a predictable hash would let the invalid one, posted
+// first, answer for the valid one.
+func TestVerdictCacheNotPoisonable(t *testing.T) {
+	s := freshServer(t, Config{})
+	addr := startServer(t, s)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+
+	parseURL := "http://" + addr + "/v1/parse"
+	for _, c := range []struct {
+		sql string
+		ok  bool
+	}{
+		{"SELECTc$g+z7E>oX", false},
+		{"SELECT a FROM tt", true},
+	} {
+		status, body, _ := postJSON(t, client, parseURL, ParseRequest{Dialect: "core", SQL: c.sql, Want: WantVerdict})
+		if status != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", c.sql, status, body)
+		}
+		var resp ParseResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK != c.ok {
+			t.Fatalf("%q answered ok:%t, want ok:%t: %s", c.sql, resp.OK, c.ok, body)
+		}
+	}
+}
+
 // TestStreamPanicContained: the stream's statement workers run outside
 // the recovery middleware. A panic while checking one statement answers
 // that record with an internal-error diagnostic and is counted; the rest

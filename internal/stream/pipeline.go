@@ -67,12 +67,12 @@ type slot[R any] struct {
 // statement knows whether a later one exists, then hands it to a worker;
 // results are emitted on the calling goroutine as soon as all earlier ones
 // are out. At most pipelineWindow statements are between hand-off and
-// emission, and their Text bytes are capped at sc's MaxChunk, or at its
-// MaxStatement when that is smaller. One statement is always admitted, so
-// the statements in flight hold at most the larger of the cap and one
-// statement: memory stays set by the largest statement, as the scanner's
-// own window does, not by the script. The trivia-only tail of a script is
-// not a statement and is skipped.
+// emission, and their Text bytes are capped at the scanner's largest read
+// (4 MiB), or at sc's MaxStatement when that is smaller. One statement is
+// always admitted, so the statements in flight hold at most the larger of
+// the cap and one statement: memory stays set by the largest statement,
+// as the scanner's own window does, not by the script. The trivia-only
+// tail of a script is not a statement and is skipped.
 //
 // Scanning stops when ctx is done. Every statement scanned before that is
 // still checked and emitted, and the held-back statement then counts as
@@ -105,7 +105,7 @@ func (p *Pipeline[R]) Run(ctx context.Context, sc *Scanner) error {
 	var (
 		head, n  int // ring index of the oldest unemitted statement; statements in the window
 		inBytes  int // Text bytes of those statements
-		maxBytes = sc.cfg.MaxChunk
+		maxBytes = maxReadChunk
 		seq      int
 	)
 	if m := sc.cfg.MaxStatement; m > 0 && m < maxBytes {

@@ -79,7 +79,7 @@ func TestPipelineEmitsInInputOrder(t *testing.T) {
 				},
 				Emit: func(st *Stmt, r string) { got = append(got, emitted{*st, r}) },
 			}
-			sc := NewScanner(testLexer(t, streamTokens), strings.NewReader(src), Config{Chunk: 512, MaxChunk: 512})
+			sc := NewScanner(testLexer(t, streamTokens), smallReads{strings.NewReader(src), 512}, Config{})
 			if err := p.Run(context.Background(), sc); err != nil {
 				t.Fatal(err)
 			}
@@ -170,20 +170,13 @@ func TestPipelineWindowBounds(t *testing.T) {
 	if n := admissions(t, src, Config{MaxStatement: 40}, 3); n != 3 {
 		t.Errorf("admitted %d statements under a 40-byte cap, want 3", n)
 	}
-	// Without a MaxStatement, the read-size cap MaxChunk bounds them.
-	if n := admissions(t, src, Config{Chunk: 40, MaxChunk: 40}, 3); n != 3 {
-		t.Errorf("admitted %d statements under a 40-byte MaxChunk, want 3", n)
-	}
 	// A statement larger than the cap is still admitted, alone.
 	if n := admissions(t, src, Config{MaxStatement: 5}, 1); n != 1 {
 		t.Errorf("admitted %d statements under a 5-byte cap, want 1", n)
 	}
-	if n := admissions(t, src, Config{Chunk: 5, MaxChunk: 5}, 1); n != 1 {
-		t.Errorf("admitted %d statements under a 5-byte MaxChunk, want 1", n)
-	}
-	// The zero Config caps too, at the default MaxChunk: two statements of
-	// a third of it fit, a third statement would not.
-	big := strings.Repeat("SELECT '"+strings.Repeat("x", defaultMaxChunk/3)+"';", 4)
+	// The zero Config caps too, at the scanner's largest read: two
+	// statements of a third of it fit, a third statement would not.
+	big := strings.Repeat("SELECT '"+strings.Repeat("x", maxReadChunk/3)+"';", 4)
 	if n := admissions(t, big, Config{}, 2); n != 2 {
 		t.Errorf("admitted %d statements of %d bytes under the zero Config, want 2", n, len(big)/4)
 	}
@@ -231,7 +224,8 @@ func TestPipelineScanErrorEndsRun(t *testing.T) {
 		Check: func(st *Stmt) int { return st.Seq },
 		Emit:  func(st *Stmt, _ int) { got = append(got, *st) },
 	}
-	sc := NewScanner(testLexer(t, streamTokens), io.MultiReader(strings.NewReader(src[:len(src)/2]), iotest.ErrReader(boom)), Config{Chunk: 256, MaxChunk: 256})
+	in := io.MultiReader(strings.NewReader(src[:len(src)/2]), iotest.ErrReader(boom))
+	sc := NewScanner(testLexer(t, streamTokens), smallReads{in, 256}, Config{})
 	if err := p.Run(context.Background(), sc); !errors.Is(err, boom) {
 		t.Fatalf("Run = %v, want the reader's error", err)
 	}

@@ -10,13 +10,6 @@ import (
 
 // Config bounds a Scanner's buffering.
 type Config struct {
-	// Chunk is the read size the scanner starts with; reads grow with the
-	// in-progress statement (so rescans of a statement spanning many reads
-	// stay amortized-linear) up to MaxChunk. <= 0 means 64 KiB.
-	Chunk int
-	// MaxChunk caps read growth. <= 0 means 4 MiB. Tests pin Chunk ==
-	// MaxChunk to force fixed-size reads across token boundaries.
-	MaxChunk int
 	// MaxStatement fails the stream with ErrStatementTooLarge when a single
 	// statement (including its leading whitespace/comments) spans more
 	// bytes. <= 0 means unlimited — the scanner then buffers as much as the
@@ -25,8 +18,11 @@ type Config struct {
 }
 
 const (
-	defaultChunk    = 64 << 10
-	defaultMaxChunk = 4 << 20
+	// readChunk is the read size the scanner starts with; reads grow with
+	// the in-progress statement (so rescans of a statement spanning many
+	// reads stay amortized-linear) up to maxReadChunk.
+	readChunk    = 64 << 10
+	maxReadChunk = 4 << 20
 
 	// tentativeTail is how close to the window edge a token may end — or a
 	// scan error may start — and still be treated as changeable by more
@@ -116,15 +112,6 @@ type Scanner struct {
 // NewScanner returns a Scanner reading the script from r and tokenizing
 // with lx (the statement dialect's lexer).
 func NewScanner(lx *lexer.Lexer, r io.Reader, cfg Config) *Scanner {
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = defaultChunk
-	}
-	if cfg.MaxChunk <= 0 {
-		cfg.MaxChunk = defaultMaxChunk
-	}
-	if cfg.MaxChunk < cfg.Chunk {
-		cfg.MaxChunk = cfg.Chunk
-	}
 	return &Scanner{
 		lex: lx, r: r, cfg: cfg,
 		baseLine: 1, baseCol: 1,
@@ -348,13 +335,7 @@ func (s *Scanner) refill() error {
 		return fmt.Errorf("stream: %w: statement at offset %d spans more than %d bytes",
 			ErrStatementTooLarge, s.base, s.cfg.MaxStatement)
 	}
-	want := s.cfg.Chunk
-	if len(s.window) > want {
-		want = len(s.window)
-	}
-	if want > s.cfg.MaxChunk {
-		want = s.cfg.MaxChunk
-	}
+	want := min(max(len(s.window), readChunk), maxReadChunk)
 	if cap(s.buf) < want {
 		s.buf = make([]byte, want)
 	}

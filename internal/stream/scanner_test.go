@@ -62,9 +62,18 @@ type stmtCopy struct {
 	Resynced       bool
 }
 
+// smallReads returns at most n bytes from each Read, so a test can split
+// the input at every token boundary the way a slow client would.
+type smallReads struct {
+	r io.Reader
+	n int
+}
+
+func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), s.n)]) }
+
 func collect(t testing.TB, lx *lexer.Lexer, src string, chunk int) []stmtCopy {
 	t.Helper()
-	sc := NewScanner(lx, strings.NewReader(src), Config{Chunk: chunk, MaxChunk: chunk})
+	sc := NewScanner(lx, smallReads{strings.NewReader(src), chunk}, Config{})
 	var out []stmtCopy
 	for {
 		st, err := sc.Next()
@@ -318,13 +327,13 @@ func TestNoSemicolonDialect(t *testing.T) {
 func TestMaxStatement(t *testing.T) {
 	lx := testLexer(t, streamTokens)
 	src := "SELECT " + strings.Repeat("aaaaaaaaaa, ", 40) + "b FROM t; SELECT c FROM u;"
-	sc := NewScanner(lx, strings.NewReader(src), Config{Chunk: 16, MaxChunk: 16, MaxStatement: 64})
+	sc := NewScanner(lx, smallReads{strings.NewReader(src), 16}, Config{MaxStatement: 64})
 	_, err := sc.Next()
 	if !errors.Is(err, ErrStatementTooLarge) {
 		t.Fatalf("Next = %v, want ErrStatementTooLarge", err)
 	}
 	// Generous cap: the same script streams fine.
-	sc = NewScanner(lx, strings.NewReader(src), Config{Chunk: 16, MaxChunk: 16, MaxStatement: 1 << 20})
+	sc = NewScanner(lx, smallReads{strings.NewReader(src), 16}, Config{MaxStatement: 1 << 20})
 	n := 0
 	for {
 		_, err := sc.Next()
@@ -360,7 +369,7 @@ func (r *failReader) Read(p []byte) (int, error) {
 
 func TestReaderErrorIsTerminal(t *testing.T) {
 	lx := testLexer(t, streamTokens)
-	sc := NewScanner(lx, &failReader{n: 10}, Config{Chunk: 4, MaxChunk: 4})
+	sc := NewScanner(lx, smallReads{&failReader{n: 10}, 4}, Config{})
 	for {
 		_, err := sc.Next()
 		if err == nil {
@@ -389,7 +398,7 @@ func TestLargeScript(t *testing.T) {
 		b.WriteString("SELECT col_a, col_b FROM relation WHERE k = 'value with; semicolon';\n")
 	}
 	src := b.String()
-	sc := NewScanner(lx, strings.NewReader(src), Config{Chunk: 4096, MaxChunk: 4096})
+	sc := NewScanner(lx, smallReads{strings.NewReader(src), 4096}, Config{})
 	got, bytes := 0, 0
 	for {
 		st, err := sc.Next()
