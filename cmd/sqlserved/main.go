@@ -46,7 +46,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxInFlight = flag.Int("max-inflight", 0, "admission bound on concurrent requests (0 = 4×GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request deadline")
-		workers     = flag.Int("workers", 0, "parse goroutines per /v1/batch or /v1/stream request; the bound applies to each request (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "workers per /v1/batch or /v1/stream request, a batch's own request goroutine included; the bound applies to each request (0 = GOMAXPROCS)")
 		warm        = flag.String("warm", "", "comma-separated presets to build before readiness, or 'all'")
 
 		loadgen     = flag.Bool("loadgen", false, "run the load generator against a private in-process server")

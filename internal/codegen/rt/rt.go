@@ -12,9 +12,10 @@
 // by the same function (lexer.Tables), and a start function that walks
 // its compiled grammar; both engines answer through the entry points
 // here, which enforce Parser.MaxTokens. Statement recovery alone drives
-// the exported passes (GetRun, ScanRun, AcceptRun, CheckRun) itself, to
-// check a script statement by statement. The runtime counts nothing:
-// engine work is counted once, at the engine seam (internal/engine).
+// the exported passes (GetRun, ScanRun, AcceptRun, ErrorRun, CheckRun)
+// itself, to check a script statement by statement. The runtime counts
+// nothing: engine work is counted once, at the engine seam
+// (internal/engine).
 //
 // The package uses only the standard library. The pregenerated preset
 // parsers (internal/engine/generated) import it; `sqlfpc -emit` inlines

@@ -566,6 +566,11 @@ func (p *Parser) AcceptRun(r *Run) bool {
 	return p.accepted(r)
 }
 
+// ErrorRun returns the syntax error of the run's whole scan, which the
+// caller already knows AcceptRun rejects: the error pass alone, without
+// the accept pass CheckRun would repeat first.
+func (p *Parser) ErrorRun(r *Run) *SyntaxError { return p.errorPass(r) }
+
 // CheckRun checks tokens [lo, hi) of the run's scan as one input, the way
 // statement recovery checks each statement of a script: nil when the start
 // production derives exactly those tokens, otherwise the syntax error at

@@ -167,8 +167,12 @@ func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Dia
 			})
 			return
 		}
-		serr := p.CheckRun(r, lo, hi)
-		if serr == nil {
+		var serr *SyntaxError
+		if cleanScan && lo == 0 && hi == len(toks) {
+			// The segment is the whole scan ParseRecover already saw
+			// rejected: only the error pass is left to run.
+			serr = p.ErrorRun(r)
+		} else if serr = p.CheckRun(r, lo, hi); serr == nil {
 			return
 		}
 		d := syntaxDiagnostic(serr)

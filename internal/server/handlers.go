@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlspl/internal/core"
@@ -180,11 +181,10 @@ func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleBatch serves POST /v1/batch: one product resolution, then a
-// bounded pool of goroutines draining an index channel over the shared
-// parser, verdicts in input order. The batch holds a single admission
-// slot; intra-batch parallelism is bounded separately by
-// Config.BatchWorkers. (A batch's queries are all in memory, so it needs
+// handleBatch serves POST /v1/batch: one product resolution, then
+// runBatch's workers answer the queries over the shared parser, verdicts
+// in input order. The batch holds a single admission slot however many
+// workers answer it. (A batch's queries are all in memory, so it needs
 // no scanner and no window; /v1/stream and sqlparse -batch check their
 // statements through stream.Pipeline instead.)
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -205,36 +205,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runBatch executes the worker pattern. If ctx expires mid-batch the
-// dispatcher stops handing out work; in-flight queries finish and the
-// (already timed-out) response is discarded by the caller.
+// runBatch answers the batch on up to Config.BatchWorkers workers, the
+// calling goroutine among them, so a batch starts BatchWorkers-1
+// goroutines and a one-query batch none. Each worker claims the next
+// unanswered query from one shared cursor and checks ctx before every
+// claim: once it expires no new query starts, claimed ones finish, and
+// the caller discards the (already timed-out) response.
 func (s *Server) runBatch(ctx context.Context, eng engine.Engine, req *BatchRequest) *BatchResponse {
 	start := time.Now()
 	results := make([]BatchResult, len(req.Queries))
-	workers := s.cfg.BatchWorkers
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(results) {
+				return
+			}
+			s.batchOne(eng, req, results, i)
+		}
 	}
-	next := make(chan int)
+	workers := min(s.cfg.BatchWorkers, len(results))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				s.batchOne(eng, req, results, i)
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := range req.Queries {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 
 	out := &BatchResponse{Dialect: eng.Info().Product, Results: results}
@@ -249,7 +248,7 @@ dispatch:
 	return out
 }
 
-// batchOne parses one batch query. A panic poisons only this result, not
+// batchOne answers one batch query. A panic poisons only this result, not
 // the worker, the batch, or the daemon.
 func (s *Server) batchOne(eng engine.Engine, req *BatchRequest, results []BatchResult, i int) {
 	defer func() {
@@ -257,7 +256,11 @@ func (s *Server) batchOne(eng engine.Engine, req *BatchRequest, results []BatchR
 			s.m.panics.Inc()
 			results[i] = BatchResult{Error: &Diagnostic{Message: "internal error: parse panicked"}}
 		}
+		s.m.batchQueries.Inc()
 	}()
+	if s.testHookCheck != nil {
+		s.testHookCheck(req.Queries[i])
+	}
 	qStart := time.Now()
 	resp := s.outcome(eng, req.Queries[i], orVerdict(req.Want))
 	s.m.latency.Observe(time.Since(qStart).Seconds())

@@ -21,6 +21,7 @@ type metricsBundle struct {
 
 	parseReqs          *telemetry.Counter
 	batchReqs          *telemetry.Counter
+	batchQueries       *telemetry.Counter // queries answered by /v1/batch workers
 	formatReqs         *telemetry.Counter // /v1/format requests admitted
 	formatErrors       *telemetry.Counter // format requests refused (parse failure or unmodelled statement)
 	streamReqs         *telemetry.Counter // /v1/stream requests admitted
@@ -47,6 +48,7 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 
 		parseReqs:          reg.Counter("sqlserved_parse_requests_total", "parse requests admitted"),
 		batchReqs:          reg.Counter("sqlserved_batch_requests_total", "batch requests admitted"),
+		batchQueries:       reg.Counter("sqlserved_batch_queries_total", "queries answered by the batch endpoint"),
 		formatReqs:         reg.Counter("sqlserved_format_requests_total", "format requests admitted"),
 		formatErrors:       reg.Counter("sqlserved_format_errors_total", "format requests refused (parse failure or unmodelled statement)"),
 		streamReqs:         reg.Counter("sqlserved_stream_requests_total", "stream requests admitted"),

@@ -25,7 +25,8 @@
 //     A parse that overruns gets 504; the abandoned parse goroutine is
 //     left to finish (the engine has no preemption points), keeps its
 //     admission slot until it does, and its latency is still observed,
-//     so neither admission nor the histogram undercounts.
+//     so neither admission nor the histogram undercounts. A batch's
+//     workers stop claiming queries at the deadline.
 //   - Drain: Shutdown first fails readiness (/readyz → 503, so load
 //     balancers stop routing), then gracefully drains: in-flight requests
 //     complete, new connections are refused.
@@ -72,9 +73,11 @@ type Config struct {
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline; <= 0 means 10s.
 	RequestTimeout time.Duration
-	// BatchWorkers bounds the parse goroutines of one /v1/batch or
-	// /v1/stream request; <= 0 means GOMAXPROCS. The bound applies per
-	// request: each admitted batch or stream may keep that many cores busy.
+	// BatchWorkers is the number of workers that check one /v1/batch or
+	// /v1/stream request's statements; <= 0 means GOMAXPROCS. The bound
+	// applies per request: each admitted batch or stream may keep that
+	// many cores busy. A batch's own request goroutine is one of its
+	// workers.
 	BatchWorkers int
 	// MaxBodyBytes caps request bodies; <= 0 means 4 MiB.
 	MaxBodyBytes int64
@@ -108,9 +111,10 @@ type Server struct {
 	// parse. Tests use it to inject panics where they would escape the
 	// serving middleware and kill the daemon.
 	testHookParse func()
-	// testHookStreamCheck, when set, runs on a /v1/stream worker before
-	// each statement is checked, with the statement's text. Tests use it to inject a panic into one statement.
-	testHookStreamCheck func(text string)
+	// testHookCheck, when set, runs on a /v1/batch or /v1/stream worker
+	// before each query or statement is checked, with its text. Tests use
+	// it to inject a panic into one statement or to cancel mid-batch.
+	testHookCheck func(text string)
 }
 
 // New builds a server from the config. It does not listen yet; call Start

@@ -113,8 +113,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					v = nil
 				}
 			}()
-			if s.testHookStreamCheck != nil {
-				s.testHookStreamCheck(st.Text)
+			if s.testHookCheck != nil {
+				s.testHookCheck(st.Text)
 			}
 			return s.vcache.Verdict(eng, st.Text)
 		},

@@ -392,7 +392,7 @@ func TestVerdictCacheNotPoisonable(t *testing.T) {
 // of the stream, and the next request, are served normally.
 func TestStreamPanicContained(t *testing.T) {
 	s := freshServer(t, Config{BatchWorkers: 4})
-	s.testHookStreamCheck = func(text string) {
+	s.testHookCheck = func(text string) {
 		if strings.Contains(text, "boom") {
 			panic("injected statement panic")
 		}
