@@ -111,10 +111,9 @@ func TestParseEndpointEmptyInput(t *testing.T) {
 	}
 }
 
-// Acceptance: a panic injected in the parse goroutine — outside the
-// serving middleware, where it would otherwise kill the whole daemon —
-// answers 500, increments parse_panics_total, and the daemon keeps
-// serving.
+// Acceptance: a panic injected into the parse work answers 500 with the
+// work's internal-error body, increments parse_panics_total, and the
+// daemon keeps serving.
 func TestParsePanicRecovered(t *testing.T) {
 	s := freshServer(t, Config{})
 	panicking := true
@@ -168,7 +167,7 @@ func TestParsePanicRecovered(t *testing.T) {
 	}
 }
 
-// A panic in the handler itself (before the parse goroutine) is caught by
+// A panic in the handler itself (before the parse work) is caught by
 // the recovery middleware: 500, counted, connection and daemon intact.
 func TestHandlerPanicMiddleware(t *testing.T) {
 	s := freshServer(t, Config{})

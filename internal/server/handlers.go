@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,14 +91,15 @@ func (s *Server) front(w http.ResponseWriter, admitted *telemetry.Counter,
 }
 
 // serve runs the admitted part of /v1/parse, /v1/format and /v1/batch:
-// after the shared front, work runs on the engine in its own goroutine
-// under the request deadline, and its result is the answer. The engine
-// has no preemption points, so the deadline is enforced around the work,
-// not inside it: an overrunning request gets 504 and its work is
-// abandoned to finish in the background. That goroutine owns the slot
-// and frees it when work returns or panics, so abandoned work still
-// counts against MaxInFlight. A panic in work answers 500; what names the
-// work in error messages.
+// after the shared front, work runs on the engine on the request's own
+// goroutine, whose stack is already grown, under the request deadline,
+// and its result is the answer. The engine has no preemption points, so
+// the deadline is answered beside the work, not inside it: a callback on
+// the deadline context answers 504 while the work runs on to the end,
+// holding its admission slot, so abandoned work still counts against
+// MaxInFlight. Whichever of the two finishes first owns the response. A
+// client that goes away gets no answer and is not counted as a timeout.
+// A panic in work answers 500; what names the work in error messages.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admitted *telemetry.Counter,
 	dialectName string, features []string, work func(ctx context.Context, eng engine.Engine) any) {
 	_, eng, ok := s.front(w, admitted, dialectName, features)
@@ -106,35 +108,53 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, what string, admi
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	done := make(chan any, 1)
-	go func() {
-		var resp any
-		// A panic here would kill the whole daemon, not just the request:
-		// this goroutine is outside the serving middleware. The slot is
-		// freed before the result is handed over, so a client that has its
-		// answer always finds the slot free again.
+	callbackDone := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(callbackDone)
+		if ctx.Err() == context.DeadlineExceeded {
+			s.m.timeouts.Inc()
+			s.answerDeadline(w, what)
+		}
+	})
+	resp := func() (resp any) {
+		// The slot is freed before the answer is written, so a client that
+		// has its answer always finds the slot free again.
 		defer func() {
-			if rec := recover(); rec != nil {
+			if recover() != nil {
 				s.m.panics.Inc()
-				resp = nil
 			}
 			s.release()
-			done <- resp
 		}()
-		resp = work(ctx, eng)
+		return work(ctx, eng)
 	}()
-	select {
-	case resp := <-done:
-		if resp == nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal error: " + what + " panicked"})
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case <-ctx.Done():
-		s.m.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorBody{Error: fmt.Sprintf("%s exceeded deadline %s", what, s.cfg.RequestTimeout)})
+	if !stop() {
+		<-callbackDone // the callback owns the response; let its write finish
+		return
 	}
+	if resp == nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal error: " + what + " panicked"})
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// answerDeadline writes the 504 for work still running past its
+// deadline. The handler goroutine is busy with that work, so the answer
+// carries its Content-Length and is flushed now rather than when the
+// handler returns. Connection: close keeps a keep-alive client from
+// queueing its next request behind the abandoned work on this connection.
+func (s *Server) answerDeadline(w http.ResponseWriter, what string) {
+	// errorBody always marshals; the newline matches writeJSON's encoder.
+	body, _ := json.Marshal(errorBody{Error: fmt.Sprintf("%s exceeded deadline %s", what, s.cfg.RequestTimeout)})
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Connection", "close")
+	w.WriteHeader(http.StatusGatewayTimeout)
+	// A failed write or flush means the client is gone: nothing to answer.
+	_, _ = w.Write(body)
+	_ = http.NewResponseController(w).Flush()
 }
 
 // handleParse serves POST /v1/parse.
@@ -151,8 +171,9 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		if s.testHookParse != nil {
 			s.testHookParse()
 		}
-		// Latency is observed here, not in the handler, so an abandoned
-		// parse is still recorded and the histogram never undercounts.
+		// Latency is observed in the work, not around the answer, so a
+		// parse that outruns its deadline is still recorded and the
+		// histogram never undercounts.
 		start := time.Now()
 		resp := s.outcome(eng, req.SQL, req.Want)
 		s.m.latency.Observe(time.Since(start).Seconds())

@@ -21,15 +21,18 @@
 //     At saturation the server answers 429 with Retry-After immediately
 //     rather than queueing — load-shedding at the front door keeps parse
 //     latency flat under overload.
-//   - Deadline: each admitted request runs under Config.RequestTimeout.
-//     A parse that overruns gets 504; the abandoned parse goroutine is
-//     left to finish (the engine has no preemption points), keeps its
-//     admission slot until it does, and its latency is still observed,
-//     so neither admission nor the histogram undercounts. A batch's
-//     workers stop claiming queries at the deadline.
+//   - Deadline: each admitted request runs under Config.RequestTimeout,
+//     on the goroutine net/http serves it on. A parse that overruns gets
+//     504 from a callback on the deadline context, with Connection:
+//     close; the parse itself runs on to the end (the engine has no
+//     preemption points), keeps its admission slot until it does, and
+//     its latency is still observed, so neither admission nor the
+//     histogram undercounts. A client that goes away is not a timeout.
+//     A batch's workers stop claiming queries at the deadline.
 //   - Drain: Shutdown first fails readiness (/readyz → 503, so load
 //     balancers stop routing), then gracefully drains: in-flight requests
-//     complete, new connections are refused.
+//     complete, work abandoned at its deadline included, and new
+//     connections are refused.
 //
 // Telemetry: every server owns a telemetry.Registry exposed at /metrics
 // (Prometheus text or JSON). Request counters, per-dialect counters and
@@ -107,9 +110,9 @@ type Server struct {
 	// parse handler, before the parse. Tests use it to hold requests
 	// in-flight deterministically.
 	testHookAdmitted func()
-	// testHookParse, when set, runs inside the parse goroutine before the
-	// parse. Tests use it to inject panics where they would escape the
-	// serving middleware and kill the daemon.
+	// testHookParse, when set, runs in /v1/parse's work, on the request
+	// goroutine under the deadline, before the parse. Tests use it to park
+	// a parse past its deadline or to inject a panic into the work.
 	testHookParse func()
 	// testHookCheck, when set, runs on a /v1/batch or /v1/stream worker
 	// before each query or statement is checked, with its text. Tests use

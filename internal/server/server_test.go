@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,6 +419,198 @@ func TestDeadlineKeepsAdmissionSlot(t *testing.T) {
 	}
 	client.CloseIdleConnections()
 	checkNoGoroutineLeak(t, baseline)
+}
+
+// TestDeadlineClosesConnection: a deadline is answered while the work is
+// still parked, with a complete 504 (the deadline error body and its
+// Content-Length) and Connection: close, so the same client's next request goes out on a
+// fresh connection instead of queueing behind the abandoned work. The
+// parked work keeps its admission slot until it returns, and its latency
+// is still observed. A batch whose claimed query is parked answers the
+// same way.
+func TestDeadlineClosesConnection(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	for _, c := range []struct {
+		what, path string
+		body       any
+		hook       func(s *Server, park func())
+	}{
+		{"parse", "/v1/parse", ParseRequest{Dialect: "minimal", SQL: "SELECT a FROM t"},
+			func(s *Server, park func()) { s.testHookParse = park }},
+		{"batch", "/v1/batch", BatchRequest{Dialect: "minimal", Queries: []string{"SELECT a FROM t"}},
+			func(s *Server, park func()) { s.testHookCheck = func(string) { park() } }},
+	} {
+		t.Run(c.what, func(t *testing.T) {
+			release := make(chan struct{})
+			var parked atomic.Bool
+			s := freshServer(t, Config{RequestTimeout: timeout})
+			c.hook(s, func() { // parks the first request only
+				if parked.CompareAndSwap(false, true) {
+					<-release
+				}
+			})
+			addr := startServer(t, s)
+			// The client timeout turns a request queued behind the parked
+			// work into a failure instead of a hang.
+			client := &http.Client{Timeout: 10 * time.Second}
+			defer client.CloseIdleConnections()
+			url := "http://" + addr + c.path
+
+			data, err := json.Marshal(c.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post(url, "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("parked %s got %d, want 504: %s", c.what, resp.StatusCode, body)
+			}
+			if want := fmt.Sprintf(`{"error":"%s exceeded deadline %s"}`+"\n", c.what, timeout); string(body) != want {
+				t.Errorf("504 body = %q, want %q", body, want)
+			}
+			if resp.ContentLength != int64(len(body)) {
+				t.Errorf("504 Content-Length = %d, body has %d bytes", resp.ContentLength, len(body))
+			}
+			if !resp.Close {
+				t.Error("504 does not carry Connection: close")
+			}
+			if got := s.m.inflight.Value(); got != 1 {
+				t.Errorf("in flight after the 504 = %d, want 1 (the parked work)", got)
+			}
+
+			if status, body, _ := postJSON(t, client, url, c.body); status != http.StatusOK {
+				t.Fatalf("next request while the first is parked got %d, want 200: %s", status, body)
+			}
+			close(release)
+			deadline := time.Now().Add(5 * time.Second)
+			for s.m.inflight.Value() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("parked work never released its admission slot")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := s.m.timeouts.Value(); got != 1 {
+				t.Errorf("timeouts counter = %d, want 1", got)
+			}
+			if got := s.m.latency.Count(); got != 2 {
+				t.Errorf("latency observations = %d, want 2 (the parked work included)", got)
+			}
+		})
+	}
+}
+
+// TestClientGoneIsNotATimeout: a client that goes away mid-parse is not a
+// deadline timeout. It gets no 504 and is not counted in
+// sqlserved_timeouts_total; the parse runs to the end and frees its slot.
+func TestClientGoneIsNotATimeout(t *testing.T) {
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	s := freshServer(t, Config{RequestTimeout: 30 * time.Second})
+	s.testHookParse = func() {
+		close(parked)
+		<-release
+	}
+	reqCtx := make(chan context.Context, 1)
+	handled := make(chan struct{})
+	var status int
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reqCtx <- r.Context()
+		sw := &statusWriter{ResponseWriter: w}
+		h.ServeHTTP(sw, r)
+		status = sw.status
+		close(handled)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/parse",
+		strings.NewReader(`{"dialect":"minimal","sql":"SELECT a FROM t"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan bool, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		answered <- err == nil
+	}()
+	rctx := <-reqCtx
+	<-parked
+	cancel()
+	if <-answered {
+		t.Fatal("the cancelled request was answered")
+	}
+	<-rctx.Done() // the server has seen the client go
+	close(release)
+	<-handled
+	if status == http.StatusGatewayTimeout {
+		t.Error("answered 504 to a client that went away")
+	}
+	if got := s.m.timeouts.Value(); got != 0 {
+		t.Errorf("timeouts counter = %d after the client went away, want 0", got)
+	}
+	if got := s.m.inflight.Value(); got != 0 {
+		t.Errorf("in flight after the parse returned = %d, want 0", got)
+	}
+}
+
+// statusWriter records the status a handler writes. Unwrap lets
+// http.ResponseController reach the connection beneath it.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// goroutineID returns the calling goroutine's ID, read from the
+// "goroutine N [running]:" header of its stack trace.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestServeRunsOnRequestGoroutine: parse and batch work run on the
+// goroutine net/http serves the request on, whose stack is already
+// grown, not on a goroutine started per request.
+func TestServeRunsOnRequestGoroutine(t *testing.T) {
+	s := freshServer(t, Config{BatchWorkers: 1})
+	var admittedOn, workedOn string
+	s.testHookAdmitted = func() { admittedOn = goroutineID() }
+	s.testHookParse = func() { workedOn = goroutineID() }
+	s.testHookCheck = func(string) { workedOn = goroutineID() }
+	for _, c := range []struct{ path, body string }{
+		{"/v1/parse", `{"dialect":"minimal","sql":"SELECT a FROM t","want":"tree"}`},
+		{"/v1/batch", `{"dialect":"minimal","queries":["SELECT a FROM t"]}`},
+	} {
+		admittedOn, workedOn = "", ""
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, rec.Code, rec.Body)
+		}
+		if admittedOn == "" || workedOn != admittedOn {
+			t.Errorf("%s: work ran on goroutine %q, the request was admitted on %q", c.path, workedOn, admittedOn)
+		}
+	}
 }
 
 // TestResolveAllocationBudget: resolving a built preset by name is one
