@@ -156,20 +156,7 @@ func (em *emitter) predictVars(e grammar.Expr) (guard, names string, nullable bo
 		}
 	}
 	sort.Strings(ns)
-	bkey := fmt.Sprint(words)
-	bv, ok := em.bitsetByKey[bkey]
-	if !ok {
-		bv = fmt.Sprintf("bs%d", len(em.bitsetByKey))
-		em.bitsetByKey[bkey] = bv
-		fmt.Fprintf(&em.vars, "var %s = Bits{", bv)
-		for i, w := range words {
-			if i > 0 {
-				em.vars.WriteString(", ")
-			}
-			fmt.Fprintf(&em.vars, "%#x", w)
-		}
-		em.vars.WriteString("}\n")
-	}
+	bv := em.bitsVar(words)
 	nkey := strings.Join(ns, "\x00")
 	nv, ok := em.namesByKey[nkey]
 	if !ok {
@@ -185,6 +172,26 @@ func (em *emitter) predictVars(e grammar.Expr) (guard, names string, nullable bo
 		em.vars.WriteString("}\n")
 	}
 	return bv, nv, false
+}
+
+// bitsVar interns a FIRST set as a Bits literal, deduplicated across the
+// whole grammar, and returns its name.
+func (em *emitter) bitsVar(words []uint64) string {
+	key := fmt.Sprint(words)
+	if v, ok := em.bitsetByKey[key]; ok {
+		return v
+	}
+	v := fmt.Sprintf("bs%d", len(em.bitsetByKey))
+	em.bitsetByKey[key] = v
+	fmt.Fprintf(&em.vars, "var %s = Bits{", v)
+	for i, w := range words {
+		if i > 0 {
+			em.vars.WriteString(", ")
+		}
+		fmt.Fprintf(&em.vars, "%#x", w)
+	}
+	em.vars.WriteString("}\n")
+	return v
 }
 
 // scalarFn emits a deterministic straight-line parser for e: a chain of

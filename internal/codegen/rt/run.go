@@ -7,12 +7,12 @@ import (
 )
 
 // Parser is one product's parser on the runtime: its tables — scanner
-// configuration, diagnostic display names, production count and start
-// function — plus the pool of run states its calls reuse. A generated
-// parser declares it as a package-level composite literal; the interpreted
-// engine (internal/parser) builds one whose Root walks the compiled
-// grammar. All methods are safe for concurrent use; a Parser must not be
-// copied.
+// configuration, diagnostic display names, production count, start
+// function and compiled grammar program — plus the pool of run states its
+// calls reuse. A generated parser declares it as a package-level composite
+// literal; the interpreted engine (internal/parser) builds one whose Root
+// walks the same program. All methods are safe for concurrent use; a
+// Parser must not be copied.
 type Parser struct {
 	// Keywords maps upper-cased reserved words to their terminal.
 	Keywords map[string]Terminal
@@ -33,6 +33,9 @@ type Parser struct {
 	// Start is the start symbol, and Root parses it.
 	Start string
 	Root  func(r *Run, pos int) []Result
+	// Program is the compiled grammar the greedy pass follows before the
+	// packrat pass runs (AcceptRun); nil skips the greedy pass.
+	Program *Program
 	// MaxTokens caps the token count Parse, Check and Accepts take on, as
 	// a defence against pathological inputs; 0 means no cap.
 	MaxTokens int
@@ -70,6 +73,8 @@ type memoEntry struct {
 // Retention guards: pooled runs must not pin pathological buffers forever.
 const (
 	maxRetainedMemoSlots = 1 << 18
+	maxRetainedFailWords = 1 << 14 // 1M (production, position) pairs
+	maxRetainedExpected  = 1 << 10
 	maxRetainedResults   = 1 << 16
 	maxRetainedTokens    = 1 << 13
 	maxRetainedChunks    = 64
@@ -199,6 +204,11 @@ type Run struct {
 	gen   uint64
 	width int
 
+	// fails is the greedy pass's bitset of (production, position) pairs
+	// known to fail, and budget its remaining node visits.
+	fails  []uint64
+	budget int
+
 	// results is the arena memoised result lists live in.
 	results []Result
 
@@ -217,7 +227,9 @@ type Run struct {
 	buildTrees bool
 	far        int
 	track      bool
-	expected   map[string]bool
+	// expected collects the terminal names wanted at far, duplicates
+	// included; the error pass maps, sorts and compacts them.
+	expected []string
 }
 
 // GetRun draws a run state from the parser's pool; PutRun returns it.
@@ -239,6 +251,12 @@ func (p *Parser) PutRun(r *Run) {
 	r.forests.recycle()
 	if len(r.memo) > maxRetainedMemoSlots {
 		r.memo = nil
+	}
+	if cap(r.fails) > maxRetainedFailWords {
+		r.fails = nil
+	}
+	if cap(r.expected) > maxRetainedExpected {
+		r.expected = nil
 	}
 	if cap(r.results) > maxRetainedResults {
 		r.results = nil
@@ -277,13 +295,7 @@ func (r *Run) begin(prods int, track, buildTrees bool) {
 	r.far = -1
 	r.track = track
 	r.buildTrees = buildTrees
-	if track {
-		if r.expected == nil {
-			r.expected = make(map[string]bool, 8)
-		} else {
-			clear(r.expected)
-		}
-	}
+	r.expected = r.expected[:0]
 	r.width = len(r.toks) + 1
 	need := prods * r.width
 	if need > len(r.memo) {
@@ -337,18 +349,13 @@ func (r *Run) ID(pos int) int32 {
 // Fail records that terminal want was expected at pos, keeping only the
 // farthest position's expectations.
 func (r *Run) Fail(pos int, want string) {
-	if !r.track {
-		if pos > r.far {
-			r.far = pos
-		}
-		return
-	}
 	if pos > r.far {
 		r.far = pos
-		clear(r.expected)
-		r.expected[want] = true
-	} else if pos == r.far {
-		r.expected[want] = true
+		if r.track {
+			r.expected = append(r.expected[:0], want)
+		}
+	} else if pos == r.far && r.track {
+		r.expected = append(r.expected, want)
 	}
 }
 
@@ -526,7 +533,7 @@ func (p *Parser) errorPass(r *Run) *SyntaxError {
 	for _, res := range results {
 		if res.End > far {
 			far = res.End
-			clear(r.expected)
+			r.expected = r.expected[:0]
 		}
 	}
 	toks := r.toks
@@ -549,7 +556,7 @@ func (p *Parser) errorPass(r *Run) *SyntaxError {
 	if len(r.expected) > 0 {
 		e.Expected = make([]string, 0, len(r.expected))
 	}
-	for name := range r.expected {
+	for _, name := range r.expected {
 		if d, ok := p.Displays[name]; ok {
 			e.Expected = append(e.Expected, d)
 		}
@@ -560,8 +567,13 @@ func (p *Parser) errorPass(r *Run) *SyntaxError {
 }
 
 // AcceptRun reports whether the start production derives the run's whole
-// scan. It builds no tree and tracks no expectations.
+// scan. It builds no tree and tracks no expectations. The greedy pass
+// over Program answers first; only when it cannot prove the input does
+// the packrat pass run, so the verdict is the packrat pass's either way.
 func (p *Parser) AcceptRun(r *Run) bool {
+	if p.Program != nil && r.prove(p.Program) {
+		return true
+	}
 	r.begin(p.Prods, false, false)
 	return p.accepted(r)
 }

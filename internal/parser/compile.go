@@ -1,63 +1,46 @@
 package parser
 
 import (
+	"slices"
+
 	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 )
 
-// The engine interprets a compiled form of the grammar: expression values
-// are converted once into pointer nodes carrying their FIRST set as a
-// bitset over the ids the scanner stamps on tokens (the grammar's
-// referenced tokens, in order — the numbering codegen uses), and
-// productions become indices, so prediction is a bitset test and memo
-// keys are integers.
+// The engine interprets the grammar's runtime program (rt.Program): every
+// expression compiled once into a flat node carrying, where a pass tests
+// the lookahead, its FIRST set as a bitset over the ids the scanner
+// stamps on tokens (the grammar's referenced tokens, in order — the
+// numbering codegen uses), with productions as indices, so prediction is
+// a bitset test and memo keys are integers. compile is the one builder of
+// that program: New runs on it, and codegen prints it into every
+// generated parser (Program).
 
-type ckind uint8
-
-const (
-	cTok ckind = iota
-	cNT
-	cSeq
-	cChoice
-	cOpt
-	cStar
-	cPlus
-)
-
-// cnode is one compiled expression node.
-type cnode struct {
-	kind ckind
-	// name is the token or nonterminal name for cTok/cNT (kept for error
-	// messages and the tracking pass).
-	name string
-	// id is the token id (cTok) or production index (cNT).
-	id int32
-	// items are sequence items, choice alternatives, or the single body of
-	// opt/star/plus.
-	items []*cnode
-	// guard is the node's FIRST set, which prediction tests it against as
-	// an alternative; nil when the node derives the empty string or
-	// prediction is disabled, so it is never pruned.
-	guard rt.Bits
-	// first names the guard's tokens: what a pruned alternative expected.
-	first []string
-	// body parses items[0] as the runtime's repetition body (star/plus).
-	body func(r *rt.Run, pos int, dst []rt.Result) []rt.Result
+// program is the compiled grammar: the runtime program, plus what only
+// the interpreter's packrat pass needs, indexed by production or node.
+type program struct {
+	*rt.Program
+	// names holds production names and toks terminal names by id, for
+	// tree labels and expected sets (so the hot path never walks
+	// g.Productions()).
+	names, toks []string
+	// first names each pruned node's FIRST set: what it expected when
+	// prediction skipped it.
+	first [][]string
+	// bodies parse a star or plus node's body as the runtime's repetition
+	// body, built once per node.
+	bodies []func(r *rt.Run, pos int, dst []rt.Result) []rt.Result
 }
 
-// program is the compiled grammar.
-type program struct {
-	// names holds production names, indexed by production id (so the hot
-	// path never walks g.Productions()).
-	names []string
-	// alts holds each production's top-level alternatives.
-	alts [][]*cnode
-	// start is the start production's id.
-	start int
+// Program compiles g to the runtime program both engines run, with FIRST
+// sets over token ids that index refs.
+func Program(g *grammar.Grammar, refs []string) *rt.Program {
+	return compile(g, refs, true).Program
 }
 
 // compile converts every production of g, interning tokens by their index
-// in refs. predict enables FIRST-set pruning.
+// in refs. predict enables FIRST-set pruning: without it every First is
+// nil, so neither pass prunes.
 func compile(g *grammar.Grammar, refs []string, predict bool) *program {
 	an := grammar.Analyze(g)
 	tokenID := make(map[string]int32, len(refs))
@@ -68,60 +51,71 @@ func compile(g *grammar.Grammar, refs []string, predict bool) *program {
 	for i, p := range g.Productions() {
 		prodIndex[p.Name] = int32(i)
 	}
-	pr := &program{names: make([]string, g.Len()), alts: make([][]*cnode, g.Len())}
-	words := (len(refs) + 63) / 64
-	var conv func(e grammar.Expr) *cnode
-	conv = func(e grammar.Expr) *cnode {
-		n := &cnode{}
-		if nullable, first := an.FirstOfExpr(e); predict && !nullable {
-			n.guard = make(rt.Bits, words)
-			for name := range first {
-				if id, ok := tokenID[name]; ok {
-					n.guard[id>>6] |= 1 << (uint32(id) & 63)
-				}
-				n.first = append(n.first, name)
-			}
-		}
+	pr := &program{
+		Program: &rt.Program{Prods: make([][]int32, g.Len())},
+		names:   make([]string, g.Len()),
+		toks:    refs,
+	}
+	words := max(1, (len(refs)+63)/64)
+	// conv appends e's nodes and returns e's index. guarded marks the
+	// nodes a pass predicts: alternatives and optional or repeated bodies.
+	var conv func(e grammar.Expr, guarded bool) int32
+	conv = func(e grammar.Expr, guarded bool) int32 {
+		var n rt.Node
+		var kids []grammar.Expr
 		switch x := e.(type) {
 		case grammar.Tok:
-			n.kind, n.name, n.id = cTok, x.Name, tokenID[x.Name]
+			n.Op, n.Arg = rt.OpTok, tokenID[x.Name]
 		case grammar.NT:
 			// Validate guarantees the production exists.
-			n.kind, n.name, n.id = cNT, x.Name, prodIndex[x.Name]
+			n.Op, n.Arg = rt.OpNT, prodIndex[x.Name]
 		case grammar.Seq:
-			n.kind = cSeq
-			for _, it := range x.Items {
-				n.items = append(n.items, conv(it))
-			}
+			n.Op, kids = rt.OpSeq, x.Items
 		case grammar.Choice:
-			n.kind = cChoice
-			for _, a := range x.Alts {
-				n.items = append(n.items, conv(a))
-			}
+			n.Op, kids = rt.OpChoice, x.Alts
 		case grammar.Opt:
-			n.kind, n.items = cOpt, []*cnode{conv(x.Body)}
+			n.Op, kids = rt.OpOpt, []grammar.Expr{x.Body}
 		case grammar.Star:
-			n.kind, n.items = cStar, []*cnode{conv(x.Body)}
+			n.Op, kids = rt.OpStar, []grammar.Expr{x.Body}
 		case grammar.Plus:
-			n.kind, n.items = cPlus, []*cnode{conv(x.Body)}
+			n.Op, kids = rt.OpPlus, []grammar.Expr{x.Body}
 		}
-		if n.kind == cStar || n.kind == cPlus {
-			body := n.items[0]
-			n.body = func(r *rt.Run, pos int, dst []rt.Result) []rt.Result {
+		for _, k := range kids {
+			n.Kids = append(n.Kids, conv(k, n.Op != rt.OpSeq))
+		}
+		var first []string
+		if guarded && predict {
+			if nullable, fs := an.FirstOfExpr(e); !nullable {
+				n.First = make(rt.Bits, words)
+				for name := range fs {
+					if id, ok := tokenID[name]; ok {
+						n.First[id>>6] |= 1 << (uint32(id) & 63)
+					}
+					first = append(first, name)
+				}
+				slices.Sort(first)
+			}
+		}
+		id := int32(len(pr.Nodes))
+		pr.Nodes = append(pr.Nodes, n)
+		pr.first = append(pr.first, first)
+		return id
+	}
+	for i, p := range g.Productions() {
+		pr.names[i] = p.Name
+		for _, a := range p.Alternatives() {
+			pr.Prods[i] = append(pr.Prods[i], conv(a, true))
+		}
+	}
+	pr.Start = prodIndex[g.Start]
+	pr.bodies = make([]func(*rt.Run, int, []rt.Result) []rt.Result, len(pr.Nodes))
+	for i, n := range pr.Nodes {
+		if n.Op == rt.OpStar || n.Op == rt.OpPlus {
+			body := n.Kids[0]
+			pr.bodies[i] = func(r *rt.Run, pos int, dst []rt.Result) []rt.Result {
 				return pr.parseExpr(r, body, pos, dst)
 			}
 		}
-		return n
 	}
-	for i, p := range g.Productions() {
-		n := conv(p.Expr)
-		pr.names[i] = p.Name
-		if n.kind == cChoice {
-			pr.alts[i] = n.items
-		} else {
-			pr.alts[i] = []*cnode{n}
-		}
-	}
-	pr.start = int(prodIndex[g.Start])
 	return pr
 }

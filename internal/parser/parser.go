@@ -11,14 +11,16 @@
 //
 // The engine runs on the runtime the generated parsers share
 // (internal/codegen/rt): a Parser is an rt.Parser whose start function
-// walks the compiled grammar, and its Parse, Check and Accepts are the
-// runtime's own entry points — scanning, the MaxTokens cap, the packrat
-// memo, tree building and the error pass are all the runtime's. What
-// differs from a generated parser is only how productions are expressed
-// (compiled nodes walked at parse time instead of emitted Go functions)
-// and statement recovery (ParseRecover), which this package adds. The
-// package counts nothing; engine work is counted at the engine seam
-// (internal/engine).
+// walks the compiled grammar program (rt.Program, built by Program, the
+// one builder codegen prints into every generated parser too), and its
+// Parse, Check and Accepts are the runtime's own entry points — scanning,
+// the MaxTokens cap, the greedy pass that proves most accepted statements
+// before any packrat work, the packrat memo, tree building and the error
+// pass are all the runtime's. What differs from a generated parser is
+// only how the packrat pass expresses productions (program nodes walked
+// at parse time instead of emitted Go functions) and statement recovery
+// (ParseRecover), which this package adds. The package counts nothing;
+// engine work is counted at the engine seam (internal/engine).
 //
 // Composed grammars must be validated (grammar.Validate) before parsing:
 // the engine requires the absence of left recursion to terminate.
@@ -36,10 +38,11 @@
 // # Memory
 //
 // The warm path allocates nothing per query: the runtime's pooled runs
-// keep their flat memo, result arena, scratch stacks and token buffers
-// between calls, and Accepts and Check never materialise trees. A tree
-// returned by Parse owns the slab chunks and token buffer behind it, so it
-// stays valid after the run is recycled. DESIGN.md §9 has the details.
+// keep their greedy-pass failure bitset, flat memo, result arena, scratch
+// stacks and token buffers between calls, and Accepts and Check never
+// materialise trees. A tree returned by Parse owns the slab chunks and
+// token buffer behind it, so it stays valid after the run is recycled.
+// DESIGN.md §9 has the details.
 package parser
 
 import (
@@ -56,8 +59,9 @@ type Tree = rt.Tree
 
 // Options tunes the engine. The zero value is the production configuration.
 type Options struct {
-	// DisablePrediction turns off FIRST-set pruning at choice points,
-	// forcing pure backtracking. Used by the ablation benchmarks
+	// DisablePrediction turns off FIRST-set pruning at choice points in
+	// both passes (every First of the compiled program is nil), forcing
+	// pure backtracking. Used by the ablation benchmarks
 	// (EXPERIMENTS.md, ablation 1); roughly an order of magnitude slower on
 	// wide grammars.
 	DisablePrediction bool
@@ -107,7 +111,7 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 		return nil, err
 	}
 	prog := compile(g, refs, !opts.DisablePrediction)
-	rp.Prods, rp.Start, rp.Root, rp.MaxTokens = g.Len(), g.Start, prog.root, opts.MaxTokens
+	rp.Prods, rp.Start, rp.Root, rp.Program, rp.MaxTokens = g.Len(), g.Start, prog.root, prog.Program, opts.MaxTokens
 	return &Parser{Parser: rp, g: g, lex: lexer.Over(rp), opts: opts}, nil
 }
 
@@ -125,7 +129,7 @@ type SyntaxError = rt.SyntaxError
 
 // root parses the start production at pos: the runtime parser's Root.
 func (pr *program) root(r *rt.Run, pos int) []rt.Result {
-	return pr.parseNT(r, pr.start, pos)
+	return pr.parseNT(r, int(pr.Start), pos)
 }
 
 // parseNT parses the production with the given index at pos, memoised in
@@ -139,10 +143,10 @@ func (pr *program) parseNT(r *rt.Run, prod int, pos int) []rt.Result {
 	out := r.GetScratch()
 	tmp := r.GetScratch()
 	la := r.ID(pos)
-	for _, alt := range pr.alts[prod] {
-		if alt.guard != nil && !alt.guard.Has(la) {
+	for _, alt := range pr.Prods[prod] {
+		if g := pr.Nodes[alt].First; g != nil && !g.Has(la) {
 			// Record what this alternative wanted, for error messages.
-			r.PredictMiss(pos, alt.first)
+			r.PredictMiss(pos, pr.first[alt])
 			continue
 		}
 		tmp = pr.parseExpr(r, alt, pos, tmp[:0])
@@ -160,26 +164,27 @@ func (pr *program) parseNT(r *rt.Run, prod int, pos int) []rt.Result {
 	return r.Memoize(slot, out)
 }
 
-// parseExpr parses compiled expression n at pos, appending every distinct
-// end position (each with one representative forest) to dst.
-func (pr *program) parseExpr(r *rt.Run, n *cnode, pos int, dst []rt.Result) []rt.Result {
-	switch n.kind {
-	case cTok:
-		if r.ID(pos) == n.id {
+// parseExpr parses node n at pos, appending every distinct end position
+// (each with one representative forest) to dst.
+func (pr *program) parseExpr(r *rt.Run, n int32, pos int, dst []rt.Result) []rt.Result {
+	nd := &pr.Nodes[n]
+	switch nd.Op {
+	case rt.OpTok:
+		if r.ID(pos) == nd.Arg {
 			return append(dst, rt.Result{End: pos + 1, Forest: r.LeafForest(pos)})
 		}
-		r.Fail(pos, n.name)
+		r.Fail(pos, pr.toks[nd.Arg])
 		return dst
 
-	case cNT:
-		return append(dst, pr.parseNT(r, int(n.id), pos)...)
+	case rt.OpNT:
+		return append(dst, pr.parseNT(r, int(nd.Arg), pos)...)
 
-	case cSeq:
+	case rt.OpSeq:
 		cur := r.GetScratch()
 		next := r.GetScratch()
 		tmp := r.GetScratch()
 		cur = append(cur, rt.Result{End: pos})
-		for _, item := range n.items {
+		for _, item := range nd.Kids {
 			next = next[:0]
 			for _, c := range cur {
 				tmp = pr.parseExpr(r, item, c.End, tmp[:0])
@@ -202,12 +207,12 @@ func (pr *program) parseExpr(r *rt.Run, n *cnode, pos int, dst []rt.Result) []rt
 		r.PutScratch(cur)
 		return dst
 
-	case cChoice:
+	case rt.OpChoice:
 		start := len(dst)
 		la := r.ID(pos)
-		for _, alt := range n.items {
-			if alt.guard != nil && !alt.guard.Has(la) {
-				r.PredictMiss(pos, alt.first)
+		for _, alt := range nd.Kids {
+			if g := pr.Nodes[alt].First; g != nil && !g.Has(la) {
+				r.PredictMiss(pos, pr.first[alt])
 				continue
 			}
 			altStart := len(dst)
@@ -225,19 +230,19 @@ func (pr *program) parseExpr(r *rt.Run, n *cnode, pos int, dst []rt.Result) []rt
 		}
 		return dst
 
-	case cOpt:
+	case rt.OpOpt:
 		start := len(dst)
-		dst = pr.parseExpr(r, n.items[0], pos, dst)
+		dst = pr.parseExpr(r, nd.Kids[0], pos, dst)
 		if rt.HasEnd(dst[start:], pos) {
 			return dst // body already produced the empty match
 		}
 		return append(dst, rt.Result{End: pos})
 
-	case cStar:
-		return r.Repeat(pos, true, dst, n.body)
+	case rt.OpStar:
+		return r.Repeat(pos, true, dst, pr.bodies[n])
 
-	case cPlus:
-		return r.Repeat(pos, false, dst, n.body)
+	case rt.OpPlus:
+		return r.Repeat(pos, false, dst, pr.bodies[n])
 	}
 	return dst
 }
