@@ -224,7 +224,7 @@ func runBatch(eng engine.Engine, lx *lexer.Lexer, in io.Reader, out io.Writer, w
 				return server.OutcomeAt(eng, st.Text, want, at)
 			}
 			// Verdict-only: Check gives Parse's error from the same scan
-			// and error pass without building a tree.
+			// and tracked packrat pass without building a tree.
 			r := &server.ParseResponse{Dialect: eng.Info().Product}
 			if err := eng.Check(st.Text); err != nil {
 				r.Error = server.EncodeDiagnostic(server.RelocateError(err, at))

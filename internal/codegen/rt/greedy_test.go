@@ -1,9 +1,14 @@
 // The greedy pass may only ever prove what the packrat pass accepts: these
 // tests hold it to that on every preset, over the interpreted program and
 // the generated one, and pin that both engines carry the same program.
+// They also pin its coverage and linearity: the statements the serving
+// workloads send, long select lists and deep nesting are proven by the
+// greedy pass alone, which spends at most a fixed number of node visits
+// per token, so accepting them costs linear time and no packrat memo.
 package rt_test
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -119,6 +124,73 @@ func TestGreedySound(t *testing.T) {
 				t.Logf("%s %s: greedy pass proved %d/%d, visits per token p50 %.1f, max %.1f",
 					s.name, c, n, len(corpora[c]), perToken[n/2], perToken[n-1])
 			}
+		}
+	}
+}
+
+// longSelect is a select list of n columns.
+func longSelect(n int) string {
+	var b strings.Builder
+	b.WriteString("SELECT c0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, ", c%d", i)
+	}
+	b.WriteString(" FROM t")
+	return b.String()
+}
+
+// nested is a comparison against a literal inside depth parentheses.
+func nested(depth int) string {
+	return "SELECT a FROM t WHERE b = " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth)
+}
+
+// TestGreedyProvesWorkloads: every workload statement the engines accept
+// is proven by the greedy pass, on every preset and both engines.
+func TestGreedyProvesWorkloads(t *testing.T) {
+	for _, s := range subjects(t) {
+		preset, _, _ := strings.Cut(s.name, "/")
+		queries, _ := workload.ForDialect(preset, 1, 2000)
+		accepted, proved := 0, 0
+		for _, q := range queries {
+			if !s.parser.Accepts(q) {
+				continue
+			}
+			accepted++
+			if ok, _ := s.parser.Greedy(q); ok {
+				proved++
+			} else if accepted-proved <= 3 {
+				t.Errorf("%s: greedy pass does not prove %q", s.name, q)
+			}
+		}
+		if accepted == 0 || proved != accepted {
+			t.Errorf("%s: greedy pass proved %d of %d accepted statements", s.name, proved, accepted)
+		}
+	}
+}
+
+// TestGreedyProvesLongSelect: an accepted 1,000-column select is proven
+// on core and full, on both engines — so the packrat memo (prods × tokens
+// slots, beyond what a pooled run retains) is never built for it; the
+// allocation half of this property is pinned in internal/engine.
+func TestGreedyProvesLongSelect(t *testing.T) {
+	q := longSelect(1000)
+	for _, s := range subjects(t) {
+		if preset, _, _ := strings.Cut(s.name, "/"); preset != string(dialect.Core) && preset != string(dialect.Full) {
+			continue
+		}
+		if ok, _ := s.parser.Greedy(q); !ok {
+			t.Errorf("%s: greedy pass does not prove a 1,000-column select", s.name)
+		}
+	}
+}
+
+// TestGreedyProvesDeepNesting: a comparison inside 1,000 nested
+// parentheses is proven on both engines of every preset.
+func TestGreedyProvesDeepNesting(t *testing.T) {
+	q := nested(1000)
+	for _, s := range subjects(t) {
+		if ok, _ := s.parser.Greedy(q); !ok {
+			t.Errorf("%s: greedy pass does not prove 1,000 nested parentheses", s.name)
 		}
 	}
 }

@@ -32,15 +32,23 @@ type Node struct {
 // Program is a product grammar in flat, data-only form: every production
 // compiled to expression nodes over the interned token ids the scanner
 // stamps and the production indices the memo uses. One builder
-// (internal/parser) makes it for both engines: the interpreter's packrat
-// pass walks it, and codegen prints it into each generated Parser, so
-// every engine runs the same greedy pass over the same program.
+// (internal/parser) makes it for both engines, and codegen prints it into
+// each generated Parser, so every engine runs the same greedy pass and
+// the same packrat pass (packrat.go) over the same program — as every
+// ANTLR 4 parser is its runtime interpreting a serialized ATN.
 type Program struct {
 	Nodes []Node
-	// Prods holds each production's top-level alternatives.
+	// Prods holds each production's top-level alternatives; its length is
+	// the production count, which sizes the packrat memo.
 	Prods [][]int32
 	// Start is the start production's index.
 	Start int32
+	// Names labels each production, by index: the tree nodes it derives
+	// carry its name.
+	Names []string
+	// Tokens names each terminal by its interned id: what a syntax error
+	// says was expected.
+	Tokens []string
 }
 
 // greedyBudget is the greedy pass's allowance of node visits per token
@@ -101,7 +109,7 @@ func (r *Run) alt(pg *Program, alts []int32, pos int) (int, bool) {
 
 // try walks node n at pos unless the lookahead rules it out.
 func (r *Run) try(pg *Program, n int32, pos int) (int, bool) {
-	if f := pg.Nodes[n].First; f != nil && !f.Has(r.ID(pos)) {
+	if f := pg.Nodes[n].First; f != nil && !f.has(r.id(pos)) {
 		return 0, false
 	}
 	return r.walk(pg, n, pos)
@@ -115,7 +123,7 @@ func (r *Run) walk(pg *Program, n int32, pos int) (int, bool) {
 	nd := &pg.Nodes[n]
 	switch nd.Op {
 	case OpTok:
-		if r.ID(pos) == nd.Arg {
+		if r.id(pos) == nd.Arg {
 			return pos + 1, true
 		}
 	case OpNT:

@@ -1,29 +1,29 @@
 // Package rt is the parse runtime both engines run on: the scanner, the
-// greedy pass over a product's compiled grammar program, the pooled
-// packrat run state, the error pass and the Parse/Check/Accepts entry
-// points, plus the token, tree and error types they produce. It is the
-// analog of the ANTLR runtime library the paper's generated parsers link
-// against.
+// greedy and packrat passes over a product's compiled grammar program,
+// the pooled run state and the Parse/Check/Accepts entry points, plus the
+// token, tree and error types they produce. It is the analog of the ANTLR
+// runtime library the paper's generated parsers link against.
 //
-// A generated parser supplies only data and straight-line code: a Parser
-// value holding its scanner tables, diagnostic names, production count,
-// start function and grammar Program, and one emitted function per
-// production and composite sub-expression, which call back into the
-// exported Run methods below. The interpreted engine (internal/parser)
-// supplies the same tables, built by the same function (lexer.Tables),
-// the same Program, built by the same function (parser.Program), and a
-// start function that walks that program; both engines answer through the
+// A parser is data: a Parser value holding its scanner tables, diagnostic
+// names and grammar Program. A generated parser declares it as a literal
+// and nothing else; the interpreted engine (internal/parser) builds the
+// same tables with the same function (lexer.Tables) and the same Program
+// with the same function (parser.Program). Every engine therefore runs
+// the same two recursive walkers, both here, and answers through the
 // entry points here, which enforce Parser.MaxTokens.
 //
 // Membership is decided in two passes, as ANTLR 4 decides with SLL before
 // full LL. The greedy pass (program.go) follows the first predicted path
 // through the Program and proves most accepted statements in linear time
-// with no memo; only when it cannot does the packrat pass — all ends,
-// memoised, complete — run, and it alone builds trees and syntax errors. Statement recovery alone drives
-// the exported passes (GetRun, ScanRun, AcceptRun, ErrorRun, CheckRun)
-// itself, to check a script statement by statement. The runtime counts
-// nothing: engine work is counted once, at the engine seam
-// (internal/engine).
+// with no memo. Only when it cannot does the packrat pass (packrat.go) —
+// all ends, memoised, complete — run, once: a verdict pass tracks the
+// expected terminals as it goes, so the same pass that rejects a statement
+// also builds its syntax error. The packrat pass alone builds trees; the
+// tree pass tracks nothing, and only a rejected Parse pays for the
+// tracked pass. Statement recovery alone drives the exported passes
+// (GetRun, ScanRun, CheckRun) itself, to check a script statement by
+// statement. The runtime counts nothing: engine work is counted once, at
+// the engine seam (internal/engine).
 //
 // The package uses only the standard library. The pregenerated preset
 // parsers (internal/engine/generated) import it; `sqlfpc -emit` inlines

@@ -7,12 +7,11 @@ import (
 )
 
 // Parser is one product's parser on the runtime: its tables — scanner
-// configuration, diagnostic display names, production count, start
-// function and compiled grammar program — plus the pool of run states its
-// calls reuse. A generated parser declares it as a package-level composite
-// literal; the interpreted engine (internal/parser) builds one whose Root
-// walks the same program. All methods are safe for concurrent use; a
-// Parser must not be copied.
+// configuration, diagnostic display names and compiled grammar program —
+// plus the pool of run states its calls reuse. A generated parser declares
+// it as a package-level composite literal; the interpreted engine
+// (internal/parser) builds the same value at run time. All methods are
+// safe for concurrent use; a Parser must not be copied.
 type Parser struct {
 	// Keywords maps upper-cased reserved words to their terminal.
 	Keywords map[string]Terminal
@@ -28,13 +27,8 @@ type Parser struct {
 	// upper-cased, punctuation quoted, class tokens by name. Names with no
 	// entry are dropped from expected sets.
 	Displays map[string]string
-	// Prods is the production count; it sizes the flat memo.
-	Prods int
-	// Start is the start symbol, and Root parses it.
-	Start string
-	Root  func(r *Run, pos int) []Result
-	// Program is the compiled grammar the greedy pass follows before the
-	// packrat pass runs (AcceptRun); nil skips the greedy pass.
+	// Program is the compiled grammar both passes walk: the greedy pass
+	// first, the packrat pass when it cannot prove the input.
 	Program *Program
 	// MaxTokens caps the token count Parse, Check and Accepts take on, as
 	// a defence against pathological inputs; 0 means no cap.
@@ -43,31 +37,15 @@ type Parser struct {
 	runs sync.Pool
 }
 
-// Result is one way an expression can match starting at some position:
-// it consumed tokens up to End (exclusive) and, on the tree path, derived
-// Forest.
-type Result struct {
-	End    int
-	Forest []*Tree
-}
-
 // Bits is an interned-id bitset over the token universe — the FIRST-set
-// representation prediction tests against. The emitter writes one literal
-// per distinct set; all literals of a product share the same word width.
+// representation prediction tests against. Codegen prints one literal per
+// distinct set; all sets of a product share the same word width.
 type Bits []uint64
 
-// Has reports whether id is in the set; -1 (end of input, or a terminal
+// has reports whether id is in the set; -1 (end of input, or a terminal
 // the grammar never references) never is.
-func (b Bits) Has(id int32) bool {
+func (b Bits) has(id int32) bool {
 	return id >= 0 && b[uint32(id)>>6]&(1<<(uint32(id)&63)) != 0
-}
-
-// memoEntry is one slot of the flat packrat table; live when its generation
-// stamp equals the run's, which empties the whole table in O(1) per pass.
-type memoEntry struct {
-	gen uint64
-	off int32
-	n   int32
 }
 
 // Retention guards: pooled runs must not pin pathological buffers forever.
@@ -191,8 +169,6 @@ func (s *forestSlab) handoff() {
 }
 
 // Run is the per-call parse state, recycled through its Parser's pool.
-// The parse functions — emitted or interpreted — receive it and call its
-// exported methods.
 type Run struct {
 	// toks is the pooled token buffer the scanner fills, handed off with
 	// the tree when a parse returns one; ids holds each token's interned
@@ -210,11 +186,11 @@ type Run struct {
 	budget int
 
 	// results is the arena memoised result lists live in.
-	results []Result
+	results []result
 
 	// scratch stacks for result lists under construction and repeat
 	// visited-sets; recursion depth d borrows slot d.
-	scratch  [][]Result
+	scratch  [][]result
 	scratchN int
 	ints     [][]int
 	intsN    int
@@ -227,9 +203,9 @@ type Run struct {
 	buildTrees bool
 	far        int
 	track      bool
-	// expected collects the terminal names wanted at far, duplicates
-	// included; the error pass maps, sorts and compacts them.
-	expected []string
+	// expected collects the ids of the terminals wanted at far,
+	// duplicates included; the tracked pass compacts and names them.
+	expected []int32
 }
 
 // GetRun draws a run state from the parser's pool; PutRun returns it.
@@ -315,224 +291,42 @@ func (r *Run) begin(prods int, track, buildTrees bool) {
 // Tokens returns the tokens the run has scanned.
 func (r *Run) Tokens() []Token { return r.toks }
 
-// Memo looks up the memoised results of production prod at pos. The slot
-// it returns is where Memoize stores them on a miss.
-func (r *Run) Memo(prod, pos int) (slot int, rs []Result, ok bool) {
-	slot = prod*r.width + pos
-	if e := r.memo[slot]; e.gen == r.gen {
-		return slot, r.results[e.off : e.off+e.n], true
-	}
-	return slot, nil, false
-}
-
-// Memoize copies out — a list borrowed from GetScratch — into the memo
-// arena under slot, returns the list to the scratch stack, and returns
-// the memoised copy.
-func (r *Run) Memoize(slot int, out []Result) []Result {
-	off := int32(len(r.results))
-	r.results = append(r.results, out...)
-	n := int32(len(out))
-	r.PutScratch(out)
-	r.memo[slot] = memoEntry{gen: r.gen, off: off, n: n}
-	return r.results[off : off+n]
-}
-
-// ID returns the interned id of the token at pos (-1 at end of input or
+// id returns the interned id of the token at pos (-1 at end of input or
 // for terminals the grammar never references).
-func (r *Run) ID(pos int) int32 {
+func (r *Run) id(pos int) int32 {
 	if pos < len(r.ids) {
 		return r.ids[pos]
 	}
 	return -1
 }
 
-// Fail records that terminal want was expected at pos, keeping only the
-// farthest position's expectations.
-func (r *Run) Fail(pos int, want string) {
-	if pos > r.far {
-		r.far = pos
-		if r.track {
-			r.expected = append(r.expected[:0], want)
-		}
-	} else if pos == r.far && r.track {
-		r.expected = append(r.expected, want)
-	}
+// pass runs the packrat pass over the run's scan from the start
+// production and returns its results, longest first.
+func (p *Parser) pass(r *Run, track, buildTrees bool) []result {
+	pg := p.Program
+	r.begin(len(pg.Prods), track, buildTrees)
+	return r.parseNT(pg, pg.Start, 0)
 }
 
-// PredictMiss records a pruned alternative's FIRST set at pos, exactly as
-// the interpreted engine does when prediction rejects an alternative.
-func (r *Run) PredictMiss(pos int, names []string) {
-	if r.track && pos >= r.far {
-		for _, n := range names {
-			r.Fail(pos, n)
-		}
-	} else if pos > r.far {
-		r.far = pos
-	}
+// packrat runs the packrat pass without tracking expectations and
+// reports whether the start production derives the run's whole scan.
+func (p *Parser) packrat(r *Run) bool {
+	rs := p.pass(r, false, false)
+	return len(rs) > 0 && rs[0].end == len(r.toks)
 }
 
-// GetScratch borrows the next free result list; PutScratch returns it
-// (with any capacity growth) in LIFO order.
-func (r *Run) GetScratch() []Result {
-	if r.scratchN == len(r.scratch) {
-		r.scratch = append(r.scratch, make([]Result, 0, 8))
-	}
-	s := r.scratch[r.scratchN][:0]
-	r.scratchN++
-	return s
-}
-
-// PutScratch returns the most recently borrowed result list.
-func (r *Run) PutScratch(s []Result) {
-	r.scratchN--
-	r.scratch[r.scratchN] = s
-}
-
-func (r *Run) getInts() []int {
-	if r.intsN == len(r.ints) {
-		r.ints = append(r.ints, make([]int, 0, 8))
-	}
-	s := r.ints[r.intsN][:0]
-	r.intsN++
-	return s
-}
-
-func (r *Run) putInts(s []int) {
-	r.intsN--
-	r.ints[r.intsN] = s
-}
-
-// newTree allocates a labelled interior node from the tree slab.
-func (r *Run) newTree(label string, children []*Tree) *Tree {
-	t := r.trees.alloc()
-	t.Label = label
-	t.Children = children
-	return t
-}
-
-// LeafForest returns the single-leaf forest for the token at pos, or nil
-// when the pass is not materialising trees.
-func (r *Run) LeafForest(pos int) []*Tree {
-	if !r.buildTrees {
-		return nil
-	}
-	t := r.trees.alloc()
-	t.Token = &r.toks[pos]
-	return append(r.forests.alloc(1), t)
-}
-
-// NodeForest wraps children under a labelled node, or nil off the tree
-// path.
-func (r *Run) NodeForest(label string, children []*Tree) []*Tree {
-	if !r.buildTrees {
-		return nil
-	}
-	return append(r.forests.alloc(1), r.newTree(label, children))
-}
-
-// WrapAll replaces every result's forest with a labelled node over it
-// when the pass materialises trees.
-func (r *Run) WrapAll(label string, rs []Result) {
-	if !r.buildTrees {
-		return
-	}
-	for k := range rs {
-		rs[k].Forest = r.NodeForest(label, rs[k].Forest)
-	}
-}
-
-// Merge concatenates two forests without copying when either side is
-// empty. Forests are never mutated after construction, so sharing is safe.
-func (r *Run) Merge(a, b []*Tree) []*Tree {
-	switch {
-	case len(a) == 0:
-		return b
-	case len(b) == 0:
-		return a
-	}
-	out := r.forests.alloc(len(a) + len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// HasEnd reports whether some result in rs ends at end.
-func HasEnd(rs []Result, end int) bool {
-	for _, r := range rs {
-		if r.End == end {
-			return true
-		}
-	}
-	return false
-}
-
-// SortByEndDesc orders results longest-first with an allocation-free
-// insertion sort (lists are tiny, and end positions are distinct).
-func SortByEndDesc(rs []Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].End > rs[j-1].End; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-// Repeat explores every reachable end position of body*, guarding against
-// zero-width iterations, longest first. body is an emitted top-level
-// function or a closure the interpreter builds once per repetition node,
-// so constructing the loop allocates nothing.
-func (r *Run) Repeat(pos int, allowEmpty bool, dst []Result, body func(r *Run, pos int, dst []Result) []Result) []Result {
-	start := len(dst)
-	if allowEmpty {
-		dst = append(dst, Result{End: pos})
-	}
-	frontier := r.GetScratch()
-	next := r.GetScratch()
-	tmp := r.GetScratch()
-	visited := r.getInts()
-	frontier = append(frontier, Result{End: pos})
-	visited = append(visited, pos)
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, st := range frontier {
-			tmp = body(r, st.End, tmp[:0])
-			for _, res := range tmp {
-				if res.End <= st.End || slices.Contains(visited, res.End) {
-					continue
-				}
-				visited = append(visited, res.End)
-				ns := Result{End: res.End, Forest: r.Merge(st.Forest, res.Forest)}
-				next = append(next, ns)
-				dst = append(dst, ns)
-			}
-		}
-		frontier, next = next, frontier
-	}
-	r.putInts(visited)
-	r.PutScratch(tmp)
-	r.PutScratch(next)
-	r.PutScratch(frontier)
-	SortByEndDesc(dst[start:])
-	return dst
-}
-
-// accepted reports whether the start production derives the whole input.
-func (p *Parser) accepted(r *Run) bool {
-	for _, res := range p.Root(r, 0) {
-		if res.End == len(r.toks) {
-			return true
-		}
-	}
-	return false
-}
-
-// errorPass re-parses with expected-token tracking and builds the syntax
-// error from the farthest failure, pointing past the last token at EOF.
-func (p *Parser) errorPass(r *Run) *SyntaxError {
-	r.begin(p.Prods, true, false)
-	results := p.Root(r, 0)
+// verdict runs the packrat pass with expectations tracked: nil when the
+// start production derives the run's whole scan, otherwise the syntax
+// error at the farthest failure, pointing past the last token at EOF.
+func (p *Parser) verdict(r *Run) *SyntaxError {
+	results := p.pass(r, true, false)
 	far := r.far
 	for _, res := range results {
-		if res.End > far {
-			far = res.End
+		if res.end == len(r.toks) {
+			return nil
+		}
+		if res.end > far {
+			far = res.end
 			r.expected = r.expected[:0]
 		}
 	}
@@ -553,11 +347,13 @@ func (p *Parser) errorPass(r *Run) *SyntaxError {
 		}
 	}
 	e.Span.Line, e.Span.Col = e.Line, e.Col
-	if len(r.expected) > 0 {
-		e.Expected = make([]string, 0, len(r.expected))
+	slices.Sort(r.expected)
+	ids := slices.Compact(r.expected)
+	if len(ids) > 0 {
+		e.Expected = make([]string, 0, len(ids))
 	}
-	for _, name := range r.expected {
-		if d, ok := p.Displays[name]; ok {
+	for _, id := range ids {
+		if d, ok := p.Displays[p.Program.Tokens[id]]; ok {
 			e.Expected = append(e.Expected, d)
 		}
 	}
@@ -566,33 +362,20 @@ func (p *Parser) errorPass(r *Run) *SyntaxError {
 	return e
 }
 
-// AcceptRun reports whether the start production derives the run's whole
-// scan. It builds no tree and tracks no expectations. The greedy pass
-// over Program answers first; only when it cannot prove the input does
-// the packrat pass run, so the verdict is the packrat pass's either way.
-func (p *Parser) AcceptRun(r *Run) bool {
-	if p.Program != nil && r.prove(p.Program) {
-		return true
-	}
-	r.begin(p.Prods, false, false)
-	return p.accepted(r)
-}
-
-// ErrorRun returns the syntax error of the run's whole scan, which the
-// caller already knows AcceptRun rejects: the error pass alone, without
-// the accept pass CheckRun would repeat first.
-func (p *Parser) ErrorRun(r *Run) *SyntaxError { return p.errorPass(r) }
-
 // CheckRun checks tokens [lo, hi) of the run's scan as one input, the way
 // statement recovery checks each statement of a script: nil when the start
 // production derives exactly those tokens, otherwise the syntax error at
 // their farthest failure. The run's tokens are left as they were.
+//
+// The greedy pass answers first; only when it cannot prove the tokens
+// does the packrat pass run, once, with expectations tracked, so one pass
+// yields both the verdict and the error.
 func (p *Parser) CheckRun(r *Run, lo, hi int) *SyntaxError {
 	toks, ids := r.toks, r.ids
 	r.toks, r.ids = toks[lo:hi], ids[lo:hi]
 	var err *SyntaxError
-	if !p.AcceptRun(r) {
-		err = p.errorPass(r)
+	if !r.prove(p.Program) {
+		err = p.verdict(r)
 	}
 	r.toks, r.ids = toks, ids
 	return err
@@ -600,19 +383,12 @@ func (p *Parser) CheckRun(r *Run, lo, hi int) *SyntaxError {
 
 // parseRun parses the run's whole scan into a tree, or returns the syntax
 // error of the rejected input. The tree owns its nodes and tokens: they
-// are handed off, and the run keeps no reference to them.
+// are handed off, and the run keeps no reference to them. The tree pass
+// tracks no expectations; only a reject pays for the tracked pass.
 func (p *Parser) parseRun(r *Run) (*Tree, *SyntaxError) {
-	r.begin(p.Prods, false, true)
-	for _, res := range p.Root(r, 0) {
-		if res.End != len(r.toks) {
-			continue
-		}
-		var tree *Tree
-		if len(res.Forest) == 1 {
-			tree = res.Forest[0]
-		} else {
-			tree = r.newTree(p.Start, res.Forest)
-		}
+	if rs := p.pass(r, false, true); len(rs) > 0 && rs[0].end == len(r.toks) {
+		// A production's every result is one node labelled with its name.
+		tree := rs[0].forest[0]
 		// Ownership of every chunk backing the tree — and of the token
 		// slice its leaves point into — moves to the caller; then drop the
 		// run's remaining references into those chunks.
@@ -622,7 +398,7 @@ func (p *Parser) parseRun(r *Run) (*Tree, *SyntaxError) {
 		r.toks = nil
 		return tree, nil
 	}
-	return nil, p.errorPass(r)
+	return nil, p.verdict(r)
 }
 
 // CheckLen enforces MaxTokens on an input of n tokens: nil within the
@@ -653,7 +429,7 @@ func (p *Parser) Parse(src string) (*Tree, error) {
 		return nil, err
 	}
 	if len(r.toks) == 0 {
-		return &Tree{Label: p.Start}, nil
+		return &Tree{Label: p.Program.Names[p.Program.Start]}, nil
 	}
 	tree, err := p.parseRun(r)
 	if err != nil {
@@ -689,7 +465,7 @@ func (p *Parser) Accepts(src string) bool {
 	if err := p.scanAll(r, src); err != nil {
 		return false
 	}
-	return p.AcceptRun(r)
+	return r.prove(p.Program) || p.packrat(r)
 }
 
 // ReservedWords returns the product's reserved words, sorted.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlspl/internal/engine"
 	"sqlspl/internal/parser"
 )
 
@@ -30,6 +31,13 @@ var goldenErrorInputs = map[Name][]string{
 		"SELECT * FROM sensors EPOCH",
 		"SELECT avg ( temp FROM sensors",
 	},
+	SCQL: {
+		"DECLARE c CURSOR FOR",
+		"GRANT SELECT ON t",
+		"UPDATE t SET a = 1 WHERE CURRENT OF",
+		"SELECT a FROM t )",
+		"CLOSE",
+	},
 	Core: {
 		"SELECT a FROM t WHERE",
 		"SELECT a AS FROM t",
@@ -48,10 +56,20 @@ var goldenErrorInputs = map[Name][]string{
 		"SELECT a FROM t GROUP BY ROLLUP",
 		"WITH q AS SELECT a FROM t",
 	},
+	Full: {
+		"SELECT a FROM t WHERE a IN (",
+		"SELECT CASE WHEN a THEN b FROM t",
+		"MERGE INTO t USING",
+		"SELECT a FROM t )",
+		"WITH RECURSIVE q AS ( SELECT a FROM t",
+	},
 }
 
-// TestSyntaxErrorGolden locks the rendered error for every input above.
-// Refresh with UPDATE_GOLDEN=1 go test ./internal/dialect -run Golden.
+// TestSyntaxErrorGolden locks the rendered error for every input above,
+// and holds the other error paths to it: the product's Check and the
+// promoted generated engine's Parse and Check must render each input's
+// error exactly as the product's Parse does. Refresh with
+// UPDATE_GOLDEN=1 go test ./internal/dialect -run Golden.
 func TestSyntaxErrorGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, name := range Names() {
@@ -61,9 +79,12 @@ func TestSyntaxErrorGolden(t *testing.T) {
 		}
 		name := name
 		t.Run(string(name), func(t *testing.T) {
-			p, err := Build(name)
+			p, eng, err := Resolve(name)
 			if err != nil {
-				t.Fatalf("Build(%s): %v", name, err)
+				t.Fatalf("Resolve(%s): %v", name, err)
+			}
+			if kind := eng.Info().Kind; kind != engine.KindGenerated {
+				t.Fatalf("%s resolves to the %s engine, want the generated one", name, kind)
 			}
 			var b strings.Builder
 			for _, in := range inputs {
@@ -77,6 +98,16 @@ func TestSyntaxErrorGolden(t *testing.T) {
 				}
 				if serr.Line < 1 || serr.Col < 1 || serr.Found == "" {
 					t.Errorf("degenerate SyntaxError for %q: %+v", in, serr)
+				}
+				_, genParse := eng.Parse(in)
+				for path, other := range map[string]error{
+					"product Check":   p.Check(in),
+					"generated Parse": genParse,
+					"generated Check": eng.Check(in),
+				} {
+					if other == nil || other.Error() != perr.Error() {
+						t.Errorf("%s of %q: %v, want %v", path, in, other, perr)
+					}
 				}
 				fmt.Fprintf(&b, "input: %s\nerror: %v\n\n", in, perr)
 			}

@@ -1,4 +1,4 @@
-// Allocation budgets for the generated straight-line parsers, mirroring
+// Allocation budgets for the generated parsers, mirroring
 // the interpreter's budgets in internal/parser/alloc_test.go: regressions
 // fail plain `go test`, not just bench-smoke. Race builds skip — the
 // detector's instrumentation allocates on its own.

@@ -8,10 +8,12 @@
 // (internal/codegen/rt), and one adapter serves them: it answers Parse,
 // Check and Accepts through the product's runtime parser (an rt.Parser)
 // and Diagnose through the product's statement recovery. The interpreted
-// engine's runtime parser is the product's own (internal/parser walks the
-// composed grammar) — it serves any feature configuration. The generated
-// engine's is a parser emitted by internal/codegen for a shipped preset,
-// registered at init time under the product's catalog fingerprint. The
+// engine's runtime parser is the product's own (internal/parser compiles
+// the composed grammar to the runtime's program when the product is
+// built) — it serves any feature configuration. The generated engine's is
+// the same tables and program printed by internal/codegen as a literal for
+// a shipped preset, registered at init time under the product's catalog
+// fingerprint; both run the runtime's one greedy and one packrat pass. The
 // catalog auto-promotes a product to its generated engine when the
 // fingerprint matches; everything else falls back to interpreted, so
 // arbitrary configurations keep working while preset traffic rides the

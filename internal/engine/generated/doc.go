@@ -2,9 +2,12 @@
 // dialects — one subpackage per preset, emitted by internal/codegen and
 // registered with the engine seam (internal/engine) at init time under the
 // preset's catalog fingerprint. Each subpackage holds only its product's
-// data and code: parser.go has the rt.Parser tables and the emitted parse
-// functions, which run on the shared runtime (internal/codegen/rt), and
-// register.go has the fingerprint, the grammar hash and the registration.
+// data: parser.go has one rt.Parser literal — scanner tables, display
+// names and the grammar program, whose FIRST sets are package-level
+// bitset literals — that the shared runtime (internal/codegen/rt) walks,
+// and register.go has the fingerprint, the grammar hash and the
+// registration. Neither file declares a function besides register.go's
+// init.
 //
 // Import this package (blank) to link every preset's generated parser into
 // a binary; the product catalog then auto-promotes matching products to

@@ -42,7 +42,7 @@ func TestAcceptsAllocationBudget(t *testing.T) {
 }
 
 // Check's accept path shares Accepts' zero-allocation property; only a
-// reject pays for the error pass.
+// reject pays for the syntax error its tracked pass builds.
 func TestCheckAcceptAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

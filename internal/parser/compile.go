@@ -1,47 +1,26 @@
 package parser
 
 import (
-	"slices"
-
 	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/grammar"
 )
 
-// The engine interprets the grammar's runtime program (rt.Program): every
-// expression compiled once into a flat node carrying, where a pass tests
-// the lookahead, its FIRST set as a bitset over the ids the scanner
-// stamps on tokens (the grammar's referenced tokens, in order — the
-// numbering codegen uses), with productions as indices, so prediction is
-// a bitset test and memo keys are integers. compile is the one builder of
-// that program: New runs on it, and codegen prints it into every
-// generated parser (Program).
-
-// program is the compiled grammar: the runtime program, plus what only
-// the interpreter's packrat pass needs, indexed by production or node.
-type program struct {
-	*rt.Program
-	// names holds production names and toks terminal names by id, for
-	// tree labels and expected sets (so the hot path never walks
-	// g.Productions()).
-	names, toks []string
-	// first names each pruned node's FIRST set: what it expected when
-	// prediction skipped it.
-	first [][]string
-	// bodies parse a star or plus node's body as the runtime's repetition
-	// body, built once per node.
-	bodies []func(r *rt.Run, pos int, dst []rt.Result) []rt.Result
-}
-
-// Program compiles g to the runtime program both engines run, with FIRST
-// sets over token ids that index refs.
+// Program compiles g to the runtime program (rt.Program) both engines
+// run: every expression compiled once into a flat node carrying, where a
+// pass tests the lookahead, its FIRST set as a bitset over the ids the
+// scanner stamps on tokens — the index of each terminal in refs, the
+// grammar's referenced tokens (the numbering lexer.Tables uses) — with
+// productions as indices, so prediction is a bitset test and memo keys
+// are integers. It is the one builder of that program: New runs on it,
+// and codegen prints it into every generated parser.
 func Program(g *grammar.Grammar, refs []string) *rt.Program {
-	return compile(g, refs, true).Program
+	return compile(g, refs, true)
 }
 
 // compile converts every production of g, interning tokens by their index
 // in refs. predict enables FIRST-set pruning: without it every First is
 // nil, so neither pass prunes.
-func compile(g *grammar.Grammar, refs []string, predict bool) *program {
+func compile(g *grammar.Grammar, refs []string, predict bool) *rt.Program {
 	an := grammar.Analyze(g)
 	tokenID := make(map[string]int32, len(refs))
 	for i, t := range refs {
@@ -51,10 +30,10 @@ func compile(g *grammar.Grammar, refs []string, predict bool) *program {
 	for i, p := range g.Productions() {
 		prodIndex[p.Name] = int32(i)
 	}
-	pr := &program{
-		Program: &rt.Program{Prods: make([][]int32, g.Len())},
-		names:   make([]string, g.Len()),
-		toks:    refs,
+	pg := &rt.Program{
+		Prods:  make([][]int32, g.Len()),
+		Names:  make([]string, g.Len()),
+		Tokens: refs,
 	}
 	words := max(1, (len(refs)+63)/64)
 	// conv appends e's nodes and returns e's index. guarded marks the
@@ -83,7 +62,6 @@ func compile(g *grammar.Grammar, refs []string, predict bool) *program {
 		for _, k := range kids {
 			n.Kids = append(n.Kids, conv(k, n.Op != rt.OpSeq))
 		}
-		var first []string
 		if guarded && predict {
 			if nullable, fs := an.FirstOfExpr(e); !nullable {
 				n.First = make(rt.Bits, words)
@@ -91,31 +69,18 @@ func compile(g *grammar.Grammar, refs []string, predict bool) *program {
 					if id, ok := tokenID[name]; ok {
 						n.First[id>>6] |= 1 << (uint32(id) & 63)
 					}
-					first = append(first, name)
 				}
-				slices.Sort(first)
 			}
 		}
-		id := int32(len(pr.Nodes))
-		pr.Nodes = append(pr.Nodes, n)
-		pr.first = append(pr.first, first)
-		return id
+		pg.Nodes = append(pg.Nodes, n)
+		return int32(len(pg.Nodes) - 1)
 	}
 	for i, p := range g.Productions() {
-		pr.names[i] = p.Name
+		pg.Names[i] = p.Name
 		for _, a := range p.Alternatives() {
-			pr.Prods[i] = append(pr.Prods[i], conv(a, true))
+			pg.Prods[i] = append(pg.Prods[i], conv(a, true))
 		}
 	}
-	pr.Start = prodIndex[g.Start]
-	pr.bodies = make([]func(*rt.Run, int, []rt.Result) []rt.Result, len(pr.Nodes))
-	for i, n := range pr.Nodes {
-		if n.Op == rt.OpStar || n.Op == rt.OpPlus {
-			body := n.Kids[0]
-			pr.bodies[i] = func(r *rt.Run, pos int, dst []rt.Result) []rt.Result {
-				return pr.parseExpr(r, body, pos, dst)
-			}
-		}
-	}
-	return pr
+	pg.Start = prodIndex[g.Start]
+	return pg
 }

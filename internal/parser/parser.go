@@ -10,17 +10,18 @@
 // those with syntactic predicates; we resolve them by backtracking).
 //
 // The engine runs on the runtime the generated parsers share
-// (internal/codegen/rt): a Parser is an rt.Parser whose start function
-// walks the compiled grammar program (rt.Program, built by Program, the
-// one builder codegen prints into every generated parser too), and its
-// Parse, Check and Accepts are the runtime's own entry points — scanning,
-// the MaxTokens cap, the greedy pass that proves most accepted statements
-// before any packrat work, the packrat memo, tree building and the error
-// pass are all the runtime's. What differs from a generated parser is
-// only how the packrat pass expresses productions (program nodes walked
-// at parse time instead of emitted Go functions) and statement recovery
-// (ParseRecover), which this package adds. The package counts nothing;
-// engine work is counted at the engine seam (internal/engine).
+// (internal/codegen/rt): a Parser is an rt.Parser over the grammar
+// compiled to a runtime program (rt.Program, built by Program, the one
+// builder codegen prints into every generated parser too), and its Parse,
+// Check and Accepts are the runtime's own entry points — scanning, the
+// MaxTokens cap, the greedy pass that proves most accepted statements,
+// the packrat pass that decides the rest, builds trees and reports syntax
+// errors, and the memo are all the runtime's. So an interpreted parser
+// and a generated one differ only in where their program comes from —
+// compiled when New runs, or printed as a literal at generation time.
+// What this package adds is statement recovery (ParseRecover). The
+// package counts nothing; engine work is counted at the engine seam
+// (internal/engine).
 //
 // Composed grammars must be validated (grammar.Validate) before parsing:
 // the engine requires the absence of left recursion to terminate.
@@ -83,8 +84,9 @@ type Options struct {
 //     nodes and tokens; empty (whitespace/comment-only) input parses to a
 //     childless tree labelled with the start symbol.
 //   - Check reports membership without building a tree (the accept path
-//     is allocation-free); a reject pays for the expected-token-tracking
-//     pass that builds the *SyntaxError, and empty input checks clean.
+//     is allocation-free); a statement the greedy pass cannot prove gets
+//     one expected-token-tracking packrat pass, which returns the verdict
+//     and the *SyntaxError together, and empty input checks clean.
 //   - Accepts is the strict boolean membership test: no tree, no error
 //     pass, and empty input is a grammar question.
 //
@@ -110,8 +112,7 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 	if err != nil {
 		return nil, err
 	}
-	prog := compile(g, refs, !opts.DisablePrediction)
-	rp.Prods, rp.Start, rp.Root, rp.Program, rp.MaxTokens = g.Len(), g.Start, prog.root, prog.Program, opts.MaxTokens
+	rp.Program, rp.MaxTokens = compile(g, refs, !opts.DisablePrediction), opts.MaxTokens
 	return &Parser{Parser: rp, g: g, lex: lexer.Over(rp), opts: opts}, nil
 }
 
@@ -126,123 +127,3 @@ func (p *Parser) Lexer() *lexer.Lexer { return p.lex }
 // and the display names of the tokens that would have allowed progress.
 // It is the runtime's type (package rt), shared with generated parsers.
 type SyntaxError = rt.SyntaxError
-
-// root parses the start production at pos: the runtime parser's Root.
-func (pr *program) root(r *rt.Run, pos int) []rt.Result {
-	return pr.parseNT(r, int(pr.Start), pos)
-}
-
-// parseNT parses the production with the given index at pos, memoised in
-// the run's flat table.
-func (pr *program) parseNT(r *rt.Run, prod int, pos int) []rt.Result {
-	slot, memo, hit := r.Memo(prod, pos)
-	if hit {
-		return memo
-	}
-	name := pr.names[prod]
-	out := r.GetScratch()
-	tmp := r.GetScratch()
-	la := r.ID(pos)
-	for _, alt := range pr.Prods[prod] {
-		if g := pr.Nodes[alt].First; g != nil && !g.Has(la) {
-			// Record what this alternative wanted, for error messages.
-			r.PredictMiss(pos, pr.first[alt])
-			continue
-		}
-		tmp = pr.parseExpr(r, alt, pos, tmp[:0])
-		for _, res := range tmp {
-			if rt.HasEnd(out, res.End) {
-				continue
-			}
-			out = append(out, rt.Result{End: res.End, Forest: r.NodeForest(name, res.Forest)})
-		}
-	}
-	// Longest-first makes downstream dedup prefer maximal derivations and
-	// lets callers that need the full input find it early.
-	rt.SortByEndDesc(out)
-	r.PutScratch(tmp)
-	return r.Memoize(slot, out)
-}
-
-// parseExpr parses node n at pos, appending every distinct end position
-// (each with one representative forest) to dst.
-func (pr *program) parseExpr(r *rt.Run, n int32, pos int, dst []rt.Result) []rt.Result {
-	nd := &pr.Nodes[n]
-	switch nd.Op {
-	case rt.OpTok:
-		if r.ID(pos) == nd.Arg {
-			return append(dst, rt.Result{End: pos + 1, Forest: r.LeafForest(pos)})
-		}
-		r.Fail(pos, pr.toks[nd.Arg])
-		return dst
-
-	case rt.OpNT:
-		return append(dst, pr.parseNT(r, int(nd.Arg), pos)...)
-
-	case rt.OpSeq:
-		cur := r.GetScratch()
-		next := r.GetScratch()
-		tmp := r.GetScratch()
-		cur = append(cur, rt.Result{End: pos})
-		for _, item := range nd.Kids {
-			next = next[:0]
-			for _, c := range cur {
-				tmp = pr.parseExpr(r, item, c.End, tmp[:0])
-				for _, res := range tmp {
-					if rt.HasEnd(next, res.End) {
-						continue
-					}
-					next = append(next, rt.Result{End: res.End, Forest: r.Merge(c.Forest, res.Forest)})
-				}
-			}
-			if len(next) == 0 {
-				cur = cur[:0]
-				break
-			}
-			cur, next = next, cur
-		}
-		dst = append(dst, cur...)
-		r.PutScratch(tmp)
-		r.PutScratch(next)
-		r.PutScratch(cur)
-		return dst
-
-	case rt.OpChoice:
-		start := len(dst)
-		la := r.ID(pos)
-		for _, alt := range nd.Kids {
-			if g := pr.Nodes[alt].First; g != nil && !g.Has(la) {
-				r.PredictMiss(pos, pr.first[alt])
-				continue
-			}
-			altStart := len(dst)
-			dst = pr.parseExpr(r, alt, pos, dst)
-			// Keep only ends not already produced by an earlier alternative.
-			keep := altStart
-			for i := altStart; i < len(dst); i++ {
-				if rt.HasEnd(dst[start:keep], dst[i].End) {
-					continue
-				}
-				dst[keep] = dst[i]
-				keep++
-			}
-			dst = dst[:keep]
-		}
-		return dst
-
-	case rt.OpOpt:
-		start := len(dst)
-		dst = pr.parseExpr(r, nd.Kids[0], pos, dst)
-		if rt.HasEnd(dst[start:], pos) {
-			return dst // body already produced the empty match
-		}
-		return append(dst, rt.Result{End: pos})
-
-	case rt.OpStar:
-		return r.Repeat(pos, true, dst, pr.bodies[n])
-
-	case rt.OpPlus:
-		return r.Repeat(pos, false, dst, pr.bodies[n])
-	}
-	return dst
-}

@@ -28,11 +28,13 @@ const DefaultMaxDiagnostics = 20
 // failure. A lexical error ends its segment with a scan diagnostic and
 // rescanning resumes after the next ';' in the raw source. Valid input
 // rides the same zero-allocation verdict path as Check: the slow
-// segmentation pass runs only after the whole-script parse has rejected.
+// segmentation pass runs only after the whole-script check has rejected,
+// and a script that is one segment reuses that check's error.
 func (p *Parser) ParseRecover(src string) []Diagnostic {
 	r := p.GetRun()
 	defer p.PutRun(r)
 	_, lexErr := p.ScanRun(r, src, 0, 1, 1)
+	var whole *SyntaxError
 	if lexErr == nil {
 		n := len(r.Tokens())
 		if n == 0 {
@@ -41,11 +43,11 @@ func (p *Parser) ParseRecover(src string) []Diagnostic {
 		if err := p.CheckLen(n); err != nil {
 			return []Diagnostic{{Span: Span{Line: 1, Col: 1}, Msg: err.Error()}}
 		}
-		if p.AcceptRun(r) {
+		if whole = p.CheckRun(r, 0, n); whole == nil {
 			return nil
 		}
 	}
-	return p.recoverDiagnostics(r, src, lexErr == nil)
+	return p.recoverDiagnostics(r, src, whole)
 }
 
 // mark is a hard segment boundary recorded during the rescan pass: the
@@ -58,9 +60,10 @@ type mark struct {
 
 // recoverDiagnostics is the slow path: rescan src resynchronizing after
 // lexical errors, then split the token stream into statement segments and
-// check each one. cleanScan says the whole source already scanned without
-// error into r, so the rescan pass can be skipped.
-func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Diagnostic {
+// check each one. A non-nil whole is the syntax error of the whole
+// source, which already scanned without error into r, so the rescan pass
+// is skipped and a segment spanning the whole scan takes that error.
+func (p *Parser) recoverDiagnostics(r *rt.Run, src string, whole *SyntaxError) []Diagnostic {
 	maxDiags := p.opts.MaxDiagnostics
 	if maxDiags <= 0 {
 		maxDiags = DefaultMaxDiagnostics
@@ -72,7 +75,7 @@ func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Dia
 	// unterminated literal that is end of input, which cleanly ends
 	// recovery too).
 	var marks []mark
-	if !cleanScan {
+	if whole == nil {
 		var ix *lexer.LineIndex
 		off, line, col := 0, 1, 1
 		for off <= len(src) && len(marks) <= maxDiags {
@@ -167,13 +170,11 @@ func (p *Parser) recoverDiagnostics(r *rt.Run, src string, cleanScan bool) []Dia
 			})
 			return
 		}
-		var serr *SyntaxError
-		if cleanScan && lo == 0 && hi == len(toks) {
-			// The segment is the whole scan ParseRecover already saw
-			// rejected: only the error pass is left to run.
-			serr = p.ErrorRun(r)
-		} else if serr = p.CheckRun(r, lo, hi); serr == nil {
-			return
+		serr := whole
+		if whole == nil || lo != 0 || hi != len(toks) {
+			if serr = p.CheckRun(r, lo, hi); serr == nil {
+				return
+			}
 		}
 		d := syntaxDiagnostic(serr)
 		if hasMore {

@@ -124,7 +124,7 @@ s : LP IDENTIFIER | LPAREN AND IDENTIFIER ;
 		t.Fatal(err)
 	}
 	// displayExpected canonicalizes a raw expected set through the display
-	// names lexer.Tables builds, as the runtime's error pass does.
+	// names lexer.Tables builds, as the runtime's tracked pass does.
 	displayExpected := func(set map[string]bool) []string {
 		var out []string
 		for name := range set {
