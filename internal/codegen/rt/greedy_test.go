@@ -1,6 +1,7 @@
 // The greedy pass may only ever prove what the packrat pass accepts: these
 // tests hold it to that on every preset, over the interpreted program and
-// the generated one, and pin that both engines carry the same program.
+// the generated one, and on solver-sampled products, and pin that both
+// engines carry the same program.
 // They also pin its coverage and linearity: the statements the serving
 // workloads send, long select lists and deep nesting are proven by the
 // greedy pass alone, which spends at most a fixed number of node visits
@@ -15,9 +16,12 @@ import (
 	"testing"
 
 	"sqlspl/internal/codegen/rt"
+	"sqlspl/internal/configure"
+	"sqlspl/internal/core"
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/engine"
 	"sqlspl/internal/sentence"
+	"sqlspl/internal/sql2003"
 	"sqlspl/internal/workload"
 
 	// Link the pregenerated preset parsers under test.
@@ -125,6 +129,48 @@ func TestGreedySound(t *testing.T) {
 					s.name, c, n, len(corpora[c]), perToken[n/2], perToken[n-1])
 			}
 		}
+	}
+}
+
+// TestGreedySoundSampledProducts holds the greedy pass to the soundness
+// properties beyond the six presets: six solver-sampled supersets of core,
+// each built rooted at core's start symbol as sqlgen -sample builds them,
+// over 200 grammar-derived sentences and their token-swapped near misses.
+func TestGreedySoundSampledProducts(t *testing.T) {
+	base, err := dialect.Build(dialect.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sql2003.MustModel()
+	sa, err := configure.New(m).NewSampler(7, 0.25, base.Config.Names()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		cfg, err := sa.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.Build(m, sql2003.Registry{}, cfg, core.Options{
+			Product: fmt.Sprintf("core+sampled-%d", i),
+			Start:   base.Grammar.Start,
+		})
+		if err != nil {
+			t.Fatalf("build sampled product %d (%d features): %v", i, cfg.Len(), err)
+		}
+		gen, err := sentence.New(p.Grammar, p.Tokens, sentence.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := subject{p.Name, p.Parser.Parser}
+		proved := 0
+		for j, q := range gen.Generate(200) {
+			if ok, _ := checkSound(t, s, q); ok {
+				proved++
+			}
+			checkSound(t, s, swapTokens(q, j))
+		}
+		t.Logf("%s (%d features): greedy pass proved %d/200 sentences", s.name, cfg.Len(), proved)
 	}
 }
 

@@ -5,11 +5,10 @@
 // runtime library the paper's generated parsers link against.
 //
 // A parser is data: a Parser value holding its scanner tables, diagnostic
-// names and grammar Program. A generated parser declares it as a literal
-// and nothing else; the interpreted engine (internal/parser) builds the
-// same tables with the same function (lexer.Tables) and the same Program
-// with the same function (parser.Program). Every engine therefore runs
-// the same two recursive walkers, both here, and answers through the
+// names and grammar Program. The interpreted engine's constructor
+// (parser.New) builds it, and a generated parser declares the value
+// parser.New built as a literal and nothing else. Every engine therefore
+// runs the same two recursive walkers, both here, and answers through the
 // entry points here, which enforce Parser.MaxTokens.
 //
 // Membership is decided in two passes, as ANTLR 4 decides with SLL before

@@ -25,7 +25,7 @@ where_clause : WHERE IDENTIFIER ;
 	if !grammar.Equal(g.Production("table_expression").Expr, want) {
 		t.Errorf("table_expression = %s", g.Production("table_expression").Expr)
 	}
-	if err := grammar.Validate(g, nil); err != nil {
+	if _, err := grammar.Validate(g, nil); err != nil {
 		t.Errorf("erased grammar invalid: %v", err)
 	}
 }
@@ -53,7 +53,7 @@ s : A missing B ;
 	if len(erased) != 0 {
 		t.Fatalf("mandatory reference erased: %v", erased)
 	}
-	if err := grammar.Validate(g, nil); err == nil {
+	if _, err := grammar.Validate(g, nil); err == nil {
 		t.Error("mandatory undefined reference must remain a validation error")
 	}
 }
@@ -80,7 +80,7 @@ s : missing1 | missing2 ;
 ok : A ;
 `)
 	_ = EraseUndefined(g)
-	if err := grammar.Validate(g, nil); err == nil {
+	if _, err := grammar.Validate(g, nil); err == nil {
 		t.Error("fully dead choice must remain invalid")
 	}
 }
@@ -108,7 +108,7 @@ grammar t ;
 s : ( ( missing )? | A ) B ;
 `)
 	_ = EraseUndefined(g)
-	if err := grammar.Validate(g, nil); err != nil {
+	if _, err := grammar.Validate(g, nil); err != nil {
 		t.Fatalf("erased grammar invalid: %v", err)
 	}
 	// "B" alone must still be derivable: the erased optional alternative

@@ -157,13 +157,11 @@ func Build(m *feature.Model, src UnitSource, cfg *feature.Config, opts Options) 
 	// returns sorted slots, but the unreachable-pruning lines are appended
 	// after, and fingerprints/golden tests need one canonical order.
 	sort.Strings(erased)
-	if err := grammar.Validate(g, ts); err != nil {
-		return nil, fmt.Errorf("composed grammar: %w", err)
-	}
-
+	// parser.New validates the composed grammar and builds the parser from
+	// the one analysis validation computes.
 	p, err := parser.New(g, ts, opts.Parser)
 	if err != nil {
-		return nil, fmt.Errorf("parser generation: %w", err)
+		return nil, fmt.Errorf("composed grammar: %w", err)
 	}
 
 	return &Product{

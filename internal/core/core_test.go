@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"sqlspl/internal/feature"
+	"sqlspl/internal/grammar"
 	"sqlspl/internal/sql2003"
 )
 
@@ -146,7 +148,14 @@ func TestNoErasureFailsOnPartialSelection(t *testing.T) {
 	m := sql2003.MustModel()
 	_, err := Build(m, sql2003.Registry{}, minimalSelection(), Options{NoErasure: true})
 	if err == nil {
-		t.Error("partial selection must fail validation without erasure")
+		t.Fatal("partial selection must fail validation without erasure")
+	}
+	if want := "composed grammar: grammar product: "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
+	}
+	var ve *grammar.ValidationError
+	if !errors.As(err, &ve) {
+		t.Errorf("error %v does not unwrap to *grammar.ValidationError", err)
 	}
 }
 

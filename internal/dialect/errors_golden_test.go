@@ -71,7 +71,6 @@ var goldenErrorInputs = map[Name][]string{
 // error exactly as the product's Parse does. Refresh with
 // UPDATE_GOLDEN=1 go test ./internal/dialect -run Golden.
 func TestSyntaxErrorGolden(t *testing.T) {
-	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, name := range Names() {
 		inputs, ok := goldenErrorInputs[name]
 		if !ok {
@@ -111,24 +110,30 @@ func TestSyntaxErrorGolden(t *testing.T) {
 				}
 				fmt.Fprintf(&b, "input: %s\nerror: %v\n\n", in, perr)
 			}
-			got := b.String()
-			path := filepath.Join("testdata", "golden", string(name)+"_errors.golden")
-			if update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("error messages drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			matchGolden(t, string(name)+"_errors.golden", b.String())
 		})
+	}
+}
+
+// matchGolden compares got with the golden file testdata/golden/<file>,
+// or rewrites the file when UPDATE_GOLDEN is set.
+func matchGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", file)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

@@ -251,12 +251,16 @@ func (a *Analysis) LL1Conflicts() []LL1Conflict {
 // left-recursive productions, so Validate rejects them; the SQL:2003
 // decomposition uses repetition groups instead (as LL grammars must).
 func LeftRecursive(g *Grammar) []string {
+	return Analyze(g).leftRecursive()
+}
+
+// leftRecursive is LeftRecursive over the analysed grammar.
+func (a *Analysis) leftRecursive() []string {
 	// leftEdges[A] = set of nonterminals that can appear leftmost in A.
 	leftEdges := map[string]map[string]bool{}
-	an := Analyze(g)
-	for _, p := range g.Productions() {
+	for _, p := range a.g.Productions() {
 		set := map[string]bool{}
-		collectLeftmost(an, p.Expr, set)
+		collectLeftmost(a, p.Expr, set)
 		leftEdges[p.Name] = set
 	}
 	// A is left-recursive if A is reachable from A via leftEdges.
@@ -347,11 +351,13 @@ func (e *ValidationError) Error() string {
 // every referenced terminal defined in the token set. Unreachable
 // productions are recorded but do not make the grammar invalid — composition
 // may legitimately carry helper rules that a particular product does not use.
-// It returns nil when the grammar is valid.
-func Validate(g *Grammar, tokens *TokenSet) error {
+// When the grammar is valid it returns g's analysis, the one it found left
+// recursion with, so a build computes nullable, FIRST and FOLLOW once.
+func Validate(g *Grammar, tokens *TokenSet) (*Analysis, error) {
+	an := Analyze(g)
 	ve := &ValidationError{Grammar: g.Name}
 	ve.Undefined = g.UndefinedNonterminals()
-	ve.LeftRec = LeftRecursive(g)
+	ve.LeftRec = an.leftRecursive()
 	if tokens != nil {
 		for _, t := range g.ReferencedTokens() {
 			if !tokens.Has(t) {
@@ -361,9 +367,9 @@ func Validate(g *Grammar, tokens *TokenSet) error {
 	}
 	ve.Unreached = Unreachable(g)
 	if len(ve.Undefined) == 0 && len(ve.LeftRec) == 0 && len(ve.MissingTok) == 0 {
-		return nil
+		return an, nil
 	}
-	return ve
+	return nil, ve
 }
 
 // Unreachable returns productions not reachable from the start symbol, sorted.

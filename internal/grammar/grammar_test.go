@@ -316,12 +316,12 @@ func TestValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Validate(g, ts); err != nil {
+	if _, err := Validate(g, ts); err != nil {
 		t.Errorf("valid grammar rejected: %v", err)
 	}
 
 	bad := mustGrammar(t, `grammar t ; s : missing B ;`)
-	err := Validate(bad, ts)
+	_, err := Validate(bad, ts)
 	if err == nil {
 		t.Fatal("undefined nonterminal not reported")
 	}
@@ -331,7 +331,7 @@ func TestValidate(t *testing.T) {
 	}
 
 	missTok := mustGrammar(t, `grammar t ; s : C ;`)
-	if err := Validate(missTok, ts); err == nil {
+	if _, err := Validate(missTok, ts); err == nil {
 		t.Error("missing token not reported")
 	}
 }

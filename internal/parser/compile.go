@@ -5,23 +5,16 @@ import (
 	"sqlspl/internal/grammar"
 )
 
-// Program compiles g to the runtime program (rt.Program) both engines
-// run: every expression compiled once into a flat node carrying, where a
-// pass tests the lookahead, its FIRST set as a bitset over the ids the
-// scanner stamps on tokens — the index of each terminal in refs, the
-// grammar's referenced tokens (the numbering lexer.Tables uses) — with
-// productions as indices, so prediction is a bitset test and memo keys
-// are integers. It is the one builder of that program: New runs on it,
-// and codegen prints it into every generated parser.
-func Program(g *grammar.Grammar, refs []string) *rt.Program {
-	return compile(g, refs, true)
-}
-
-// compile converts every production of g, interning tokens by their index
-// in refs. predict enables FIRST-set pruning: without it every First is
-// nil, so neither pass prunes.
-func compile(g *grammar.Grammar, refs []string, predict bool) *rt.Program {
-	an := grammar.Analyze(g)
+// compile converts every production of g to the runtime program
+// (rt.Program) both engines run, taking FIRST sets from an, the analysis
+// grammar.Validate returned for g. Every expression is compiled once into
+// a flat node carrying, where a pass tests the lookahead, its FIRST set as
+// a bitset over the ids the scanner stamps on tokens — the index of each
+// terminal in refs, the grammar's referenced tokens (the numbering
+// lexer.Tables uses) — with productions as indices, so prediction is a
+// bitset test and memo keys are integers. predict enables FIRST-set
+// pruning: without it every First is nil, so neither pass prunes.
+func compile(g *grammar.Grammar, an *grammar.Analysis, refs []string, predict bool) *rt.Program {
 	tokenID := make(map[string]int32, len(refs))
 	for i, t := range refs {
 		tokenID[t] = int32(i)

@@ -11,20 +11,19 @@
 //
 // The engine runs on the runtime the generated parsers share
 // (internal/codegen/rt): a Parser is an rt.Parser over the grammar
-// compiled to a runtime program (rt.Program, built by Program, the one
-// builder codegen prints into every generated parser too), and its Parse,
+// compiled to a runtime program (rt.Program), and its Parse,
 // Check and Accepts are the runtime's own entry points — scanning, the
 // MaxTokens cap, the greedy pass that proves most accepted statements,
 // the packrat pass that decides the rest, builds trees and reports syntax
-// errors, and the memo are all the runtime's. So an interpreted parser
-// and a generated one differ only in where their program comes from —
-// compiled when New runs, or printed as a literal at generation time.
+// errors, and the memo are all the runtime's. A generated parser is the
+// rt.Parser New builds, printed as a literal (package codegen).
 // What this package adds is statement recovery (ParseRecover). The
 // package counts nothing; engine work is counted at the engine seam
 // (internal/engine).
 //
-// Composed grammars must be validated (grammar.Validate) before parsing:
-// the engine requires the absence of left recursion to terminate.
+// New validates the grammar, since the engine requires the absence of
+// left recursion to terminate, and compiles the prediction sets from the
+// analysis grammar.Validate returns: a build analyses its grammar once.
 //
 // # Concurrency
 //
@@ -104,7 +103,8 @@ type Parser struct {
 // the grammar has undefined nonterminals, left recursion, or tokens missing
 // from the set, or if the token set does not make a scanner.
 func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error) {
-	if err := grammar.Validate(g, ts); err != nil {
+	an, err := grammar.Validate(g, ts)
+	if err != nil {
 		return nil, err
 	}
 	refs := g.ReferencedTokens()
@@ -112,7 +112,7 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 	if err != nil {
 		return nil, err
 	}
-	rp.Program, rp.MaxTokens = compile(g, refs, !opts.DisablePrediction), opts.MaxTokens
+	rp.Program, rp.MaxTokens = compile(g, an, refs, !opts.DisablePrediction), opts.MaxTokens
 	return &Parser{Parser: rp, g: g, lex: lexer.Over(rp), opts: opts}, nil
 }
 
