@@ -176,7 +176,7 @@ func e6Size(int) {
 	for _, name := range dialect.Names() {
 		p := buildOrDie(name)
 		s := p.Stats()
-		src, err := codegen.Generate(p.Grammar, p.Tokens, "p")
+		src, err := codegen.Generate(p.Parser, "p")
 		genBytes := 0
 		if err == nil {
 			genBytes = len(src)

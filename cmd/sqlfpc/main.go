@@ -119,7 +119,7 @@ func main() {
 		did = true
 	}
 	if *emit != "" {
-		src, err := codegen.Generate(product.Grammar, product.Tokens, *emit)
+		src, err := codegen.Generate(product.Parser, *emit)
 		if err != nil {
 			fatal(err)
 		}

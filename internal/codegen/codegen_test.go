@@ -14,7 +14,7 @@ import (
 
 	"sqlspl/internal/dialect"
 	"sqlspl/internal/grammar"
-	"sqlspl/internal/lexer"
+	"sqlspl/internal/parser"
 )
 
 func TestGenerateMinimalSource(t *testing.T) {
@@ -22,7 +22,7 @@ func TestGenerateMinimalSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(p.Grammar, p.Tokens, "minsql")
+	src, err := Generate(p.Parser, "minsql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestGeneratePackageSharesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := GeneratePackage(p.Grammar, p.Tokens, "minsql")
+	pkg, err := GeneratePackage(p.Parser, "minsql")
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone, err := Generate(p.Grammar, p.Tokens, "minsql")
+	standalone, err := Generate(p.Parser, "minsql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,34 +110,29 @@ func TestGeneratePackageSharesRuntime(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsInvalidGrammar: an invalid grammar never becomes
+// generated source. parser.New refuses it, so there is no parser to print,
+// and both generators reject what it did not build (nil or the zero
+// value) with an error rather than a panic.
 func TestGenerateRejectsInvalidGrammar(t *testing.T) {
-	g, _ := grammar.ParseGrammar(`grammar bad ; s : missing ;`)
-	ts := grammar.NewTokenSet("bad")
-	if _, err := Generate(g, ts, "x"); err == nil {
-		t.Error("invalid grammar accepted")
-	}
-}
-
-// TestGenerateRejectsInvalidTokenSet: a token set the scanner cannot be
-// built from is rejected with the lexer's own error, not emitted as a
-// parser that misbehaves or does not compile.
-func TestGenerateRejectsInvalidTokenSet(t *testing.T) {
-	for _, tc := range []struct{ name, grammar, tokens string }{
-		{"unknown class", `grammar g ; s : X ;`, `tokens t ; X : <no_such_class> ;`},
-		{"keyword bound twice", `grammar g ; s : A | B ;`, `tokens t ; A : 'GO' ; B : 'go' ;`},
-		{"class bound twice", `grammar g ; s : I J ;`, `tokens t ; I : <identifier> ; J : <identifier> ;`},
+	ts := grammar.MustParseTokens(`tokens bad ; A : 'A' ;`)
+	for _, src := range []string{
+		`grammar bad ; s : missing ;`,   // undefined nonterminal
+		`grammar bad ; s : s A | A ;`,   // left recursion
+		`grammar bad ; s : A UNKNOWN ;`, // token missing from the set
 	} {
-		g := grammar.MustParseGrammar(tc.grammar)
-		ts := grammar.MustParseTokens(tc.tokens)
-		_, lexErr := lexer.New(ts)
-		if lexErr == nil {
-			t.Fatalf("%s: lexer accepted the token set", tc.name)
+		p, err := parser.New(grammar.MustParseGrammar(src), ts, parser.Options{})
+		if err == nil {
+			t.Errorf("%s: parser.New accepted the grammar", src)
+			continue
 		}
-		for form, gen := range map[string]func(*grammar.Grammar, *grammar.TokenSet, string) ([]byte, error){
-			"Generate": Generate, "GeneratePackage": GeneratePackage,
-		} {
-			if _, err := gen(g, ts, "x"); err == nil || err.Error() != lexErr.Error() {
-				t.Errorf("%s: %s error = %v, want the lexer's %q", tc.name, form, err, lexErr)
+		for _, bad := range []*parser.Parser{p, {}} {
+			for form, gen := range map[string]func(*parser.Parser, string) ([]byte, error){
+				"Generate": Generate, "GeneratePackage": GeneratePackage,
+			} {
+				if out, err := gen(bad, "x"); err == nil || out != nil {
+					t.Errorf("%s: %s printed a parser parser.New did not build", src, form)
+				}
 			}
 		}
 	}
@@ -161,7 +156,7 @@ func TestGeneratePackageName(t *testing.T) {
 		{pkg: "", clause: "package sqlparser"},
 		{pkg: "minsql", clause: "package minsql"},
 	} {
-		src, err := Generate(p.Grammar, p.Tokens, tc.pkg)
+		src, err := Generate(p.Parser, tc.pkg)
 		if tc.clause == "" {
 			if err == nil {
 				t.Errorf("package name %q accepted", tc.pkg)
@@ -227,7 +222,7 @@ func TestGeneratedParserEndToEnd(t *testing.T) {
 			if len(bound) != tc.classes {
 				t.Fatalf("%s binds %d lexical classes, want %d", tc.name, len(bound), tc.classes)
 			}
-			got := runStandalone(t, p.Grammar, p.Tokens, common)
+			got := runStandalone(t, p.Parser, common)
 			rejected := 0
 			for i, q := range common {
 				want := "ACCEPT\tok"
@@ -246,12 +241,12 @@ func TestGeneratedParserEndToEnd(t *testing.T) {
 	}
 }
 
-// runStandalone compiles the standalone parser for g/ts into a throwaway
-// module and returns, per query, "ACCEPT\tok" or "REJECT\t" plus Check's
-// error text.
-func runStandalone(t *testing.T, g *grammar.Grammar, ts *grammar.TokenSet, queries []string) []string {
+// runStandalone compiles the standalone form of p into a throwaway module
+// and returns, per query, "ACCEPT\tok" or "REJECT\t" plus Check's error
+// text.
+func runStandalone(t *testing.T, p *parser.Parser, queries []string) []string {
 	t.Helper()
-	src, err := Generate(g, ts, "main")
+	src, err := Generate(p, "main")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type subject struct {
 }
 
 // subjects returns every preset's interpreted and generated parsers, and
-// fails when the two do not carry the same program.
+// fails when the two do not carry the same program and keyword table.
 func subjects(t testing.TB) []subject {
 	t.Helper()
 	generated := map[string]*rt.Parser{}
@@ -55,6 +55,9 @@ func subjects(t testing.TB) []subject {
 		if !reflect.DeepEqual(gen.Program, interp.Program) {
 			t.Fatalf("%s: the generated parser's program differs from the interpreter's", name)
 		}
+		if !reflect.DeepEqual(gen.Keywords, interp.Keywords) {
+			t.Fatalf("%s: the generated parser's keyword table differs from the interpreter's", name)
+		}
 		out = append(out,
 			subject{string(name) + "/interpreted", interp},
 			subject{string(name) + "/generated", gen})
@@ -73,7 +76,7 @@ func checkSound(t *testing.T, s subject, src string) (proved bool, perToken floa
 	if proved && !accepted {
 		t.Errorf("%s: greedy pass proves what the packrat pass rejects: %q", s.name, src)
 	}
-	toks, err := s.parser.ScanFrom(src, 0, 1, 1, nil)
+	toks, err := s.parser.ScanFrom(src, 0, 1, 1, 0, nil)
 	if err != nil || len(toks) == 0 {
 		return proved, 0 // Check accepts empty input whatever the grammar says
 	}

@@ -13,11 +13,8 @@ import (
 // (internal/parser) builds the same value at run time. All methods are
 // safe for concurrent use; a Parser must not be copied.
 type Parser struct {
-	// Keywords maps upper-cased reserved words to their terminal.
-	Keywords map[string]Terminal
-	// MaxKeywordLen is the longest keyword spelling; longer words cannot
-	// be keywords.
-	MaxKeywordLen int
+	// Keywords finds the reserved words by their upper-cased spelling.
+	Keywords KeywordTable
 	// Puncts maps a punctuation lexeme's first byte to its candidates in
 	// maximal-munch order.
 	Puncts [256][]Punct
@@ -470,9 +467,9 @@ func (p *Parser) Accepts(src string) bool {
 
 // ReservedWords returns the product's reserved words, sorted.
 func (p *Parser) ReservedWords() []string {
-	out := make([]string, 0, len(p.Keywords))
-	for k := range p.Keywords {
-		out = append(out, k)
+	out := make([]string, 0, len(p.Keywords.Words))
+	for _, k := range p.Keywords.Words {
+		out = append(out, k.Text)
 	}
 	slices.Sort(out)
 	return out

@@ -65,6 +65,10 @@ func FuzzLex(f *testing.F) {
 		"X'AB",
 		"@",
 		"",
+		"SELECT naïve, 日本語, aé1_ FROM t",
+		"ſelect :naïve FROM café",
+		"SELECT a\xc3",
+		"SELECT a\r\nFROM t\r\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

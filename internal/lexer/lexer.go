@@ -21,6 +21,7 @@ package lexer
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -85,18 +86,21 @@ func Tables(ts *grammar.TokenSet, ids []string) (*rt.Parser, error) {
 		}
 		return rt.Terminal{Name: name, ID: -1}
 	}
-	p := &rt.Parser{Keywords: map[string]rt.Terminal{}, Displays: make(map[string]string, ts.Len())}
+	p := &rt.Parser{Displays: make(map[string]string, ts.Len())}
+	keywords := map[string]string{}
+	var words []rt.Keyword
 	classes := map[string]rt.Terminal{}
 	var puncts []rt.Punct
 	for _, d := range ts.Defs() {
 		switch d.Kind {
 		case grammar.Keyword:
 			up := strings.ToUpper(d.Text)
-			if prev, ok := p.Keywords[up]; ok {
-				return nil, fmt.Errorf("lexer: keyword %q bound to both %s and %s", up, prev.Name, d.Name)
+			if prev, ok := keywords[up]; ok {
+				return nil, fmt.Errorf("lexer: keyword %q bound to both %s and %s", up, prev, d.Name)
 			}
-			p.Keywords[up] = term(d.Name)
-			p.MaxKeywordLen = max(p.MaxKeywordLen, len(up))
+			keywords[up] = d.Name
+			t := term(d.Name)
+			words = append(words, rt.Keyword{Text: up, Name: t.Name, ID: t.ID})
 			p.Displays[d.Name] = up
 		case grammar.Punct:
 			if d.Text == "" {
@@ -116,6 +120,13 @@ func Tables(ts *grammar.TokenSet, ids []string) (*rt.Parser, error) {
 			p.Displays[d.Name] = d.Name
 		}
 	}
+	if len(words) > math.MaxUint16 {
+		return nil, fmt.Errorf("lexer: %d keywords exceed the scanner's table of %d", len(words), math.MaxUint16)
+	}
+	// Keywords in terminal-name order, so a token set always builds the
+	// same table.
+	slices.SortFunc(words, func(a, b rt.Keyword) int { return cmp.Compare(a.Name, b.Name) })
+	p.Keywords = rt.NewKeywordTable(words)
 	// Each first byte's candidates, longest first for maximal munch.
 	slices.SortStableFunc(puncts, func(a, b rt.Punct) int { return comparePunct(a.Text, b.Text) })
 	for _, pu := range puncts {
@@ -175,7 +186,7 @@ func (l *Lexer) Scan(src string) ([]Token, error) {
 // performs zero heap allocations. Tokens reference src; they are valid as
 // long as src is.
 func (l *Lexer) ScanInto(src string, buf []Token) ([]Token, error) {
-	out, err := l.ScanPartialFrom(src, 0, 1, 1, buf)
+	out, err := l.rt.ScanFrom(src, 0, 1, 1, 0, buf)
 	if err != nil {
 		// Emptied but capacity-preserving, so pooled callers keep any
 		// growth the partial scan paid for.
@@ -186,14 +197,15 @@ func (l *Lexer) ScanInto(src string, buf []Token) ([]Token, error) {
 
 // ScanPartialFrom scans src beginning at byte offset off — whose 1-based
 // line/column the caller supplies (1, 1 for offset 0) — appending tokens to
-// buf. Unlike ScanInto it does not discard progress on a lexical error: the
-// tokens scanned before the error are returned alongside it, and the
-// *Error's Off/Resume offsets tell a recovering caller where scanning can
-// restart. The streaming scanner (internal/stream) uses this to cut
-// statements as input arrives. Token offsets are absolute within src
-// regardless of off.
-func (l *Lexer) ScanPartialFrom(src string, off, line, col int, buf []Token) ([]Token, error) {
-	return l.rt.ScanFrom(src, off, line, col, buf)
+// buf, at most limit of them when limit is positive. Unlike ScanInto it
+// does not discard progress on a lexical error: the tokens scanned before
+// the error are returned alongside it, and the *Error's Off/Resume offsets
+// tell a recovering caller where scanning can restart. The streaming
+// scanner (internal/stream) uses this to cut statements as input arrives,
+// a bounded number of tokens at a time. Token offsets are absolute within
+// src regardless of off.
+func (l *Lexer) ScanPartialFrom(src string, off, line, col, limit int, buf []Token) ([]Token, error) {
+	return l.rt.ScanFrom(src, off, line, col, limit, buf)
 }
 
 // Puncts returns the punctuation spellings of this scanner configuration,

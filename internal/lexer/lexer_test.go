@@ -444,7 +444,7 @@ func TestScanErrorOffsets(t *testing.T) {
 func TestScanPartialFromKeepsPrefix(t *testing.T) {
 	l := newLexer(t, fullTokens)
 	src := "SELECT a ; b"
-	toks, err := l.ScanPartialFrom(src, 0, 1, 1, nil)
+	toks, err := l.ScanPartialFrom(src, 0, 1, 1, 0, nil)
 	if err == nil {
 		t.Fatal("want lexical error at ';'")
 	}
@@ -454,7 +454,7 @@ func TestScanPartialFromKeepsPrefix(t *testing.T) {
 	// Restarting after the error continues with absolute offsets.
 	lerr := err.(*Error)
 	line, col := NewLineIndex(src).Pos(lerr.Resume + 1)
-	toks, err = l.ScanPartialFrom(src, lerr.Resume+1, line, col, toks)
+	toks, err = l.ScanPartialFrom(src, lerr.Resume+1, line, col, 0, toks)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -94,6 +94,7 @@ type Options struct {
 type Parser struct {
 	*rt.Parser
 	g    *grammar.Grammar
+	ts   *grammar.TokenSet
 	lex  *lexer.Lexer
 	opts Options
 }
@@ -113,11 +114,14 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 		return nil, err
 	}
 	rp.Program, rp.MaxTokens = compile(g, an, refs, !opts.DisablePrediction), opts.MaxTokens
-	return &Parser{Parser: rp, g: g, lex: lexer.Over(rp), opts: opts}, nil
+	return &Parser{Parser: rp, g: g, ts: ts, lex: lexer.Over(rp), opts: opts}, nil
 }
 
 // Grammar returns the product grammar the parser was built from.
 func (p *Parser) Grammar() *grammar.Grammar { return p.g }
+
+// Tokens returns the token set the parser's scanner was built from.
+func (p *Parser) Tokens() *grammar.TokenSet { return p.ts }
 
 // Lexer returns the configured scanner (shared, concurrency-safe).
 func (p *Parser) Lexer() *lexer.Lexer { return p.lex }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"sqlspl/internal/grammar"
+	"sqlspl/internal/lexer"
 )
 
 // miniSelect is the paper's Section 3.2 worked example, already composed:
@@ -288,6 +289,27 @@ func TestNewRejectsInvalidGrammar(t *testing.T) {
 	lr, _ := grammar.ParseGrammar(`grammar bad ; s : s A | A ;`)
 	if _, err := New(lr, ts, Options{}); err == nil {
 		t.Error("left-recursive grammar accepted")
+	}
+}
+
+// TestNewRejectsInvalidTokenSet: a token set the scanner cannot be built
+// from fails New with the lexer's own error, so no parser — and no
+// generated one — is ever built over it.
+func TestNewRejectsInvalidTokenSet(t *testing.T) {
+	for _, tc := range []struct{ name, grammar, tokens string }{
+		{"unknown class", `grammar g ; s : X ;`, `tokens t ; X : <no_such_class> ;`},
+		{"keyword bound twice", `grammar g ; s : A | B ;`, `tokens t ; A : 'GO' ; B : 'go' ;`},
+		{"class bound twice", `grammar g ; s : I J ;`, `tokens t ; I : <identifier> ; J : <identifier> ;`},
+	} {
+		g := grammar.MustParseGrammar(tc.grammar)
+		ts := grammar.MustParseTokens(tc.tokens)
+		_, lexErr := lexer.New(ts)
+		if lexErr == nil {
+			t.Fatalf("%s: lexer accepted the token set", tc.name)
+		}
+		if _, err := New(g, ts, Options{}); err == nil || err.Error() != lexErr.Error() {
+			t.Errorf("%s: New error = %v, want the lexer's %q", tc.name, err, lexErr)
+		}
 	}
 }
 

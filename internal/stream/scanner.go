@@ -32,6 +32,12 @@ const (
 	// such pending lexeme fragment is 4 bytes; 8 is slack. Anything ending
 	// earlier was delimited by real bytes and cannot change.
 	tentativeTail = 8
+
+	// scanIncrement is how many tokens one scan of the window may add.
+	// Scanning in increments, and dropping the tokens of yielded
+	// statements before each, keeps the token buffer at the statement in
+	// progress plus one increment instead of every token of a read.
+	scanIncrement = 256
 )
 
 // ErrStatementTooLarge reports a statement exceeding Config.MaxStatement.
@@ -69,10 +75,13 @@ type Statement struct {
 }
 
 // Scanner yields statements from an io.Reader without buffering the whole
-// script: it keeps a window covering only the statement in progress,
-// scans it with lexer.ScanPartialFrom, confirms tokens that cannot change
-// with more input, and cuts statements with the same Splitter that parser
-// statement-recovery uses. Not safe for concurrent use.
+// script: its window holds the input from the statement in progress to
+// the end of the last read, which it scans with lexer.ScanPartialFrom a
+// bounded number of tokens at a time, confirming tokens that cannot change
+// with more input and cutting statements with the same Splitter that
+// parser statement-recovery uses. Its token buffer holds the statement in
+// progress and at most one increment of scanned tokens. Not safe for
+// concurrent use.
 type Scanner struct {
 	lex *lexer.Lexer
 	r   io.Reader
@@ -91,7 +100,7 @@ type Scanner struct {
 
 	// Start of the in-progress statement, window-relative.
 	stmtOff, stmtLine, stmtCol int
-	stmtTok                    int // index in toks of its first token
+	stmtTok                    int // index in toks of its first token; scanMore drops the tokens before it
 
 	// Where scanning resumes, window-relative.
 	scanOff, scanLine, scanCol int
@@ -181,12 +190,20 @@ func (s *Scanner) Next() (*Statement, error) {
 	}
 }
 
-// scanMore runs the lexer over the unscanned window suffix, confirming
-// tokens that cannot change with more input, and reports whether it made
-// progress (new confirmed tokens or a definitive-error transition).
+// scanMore drops the tokens of yielded statements and runs the lexer over
+// at most scanIncrement more tokens of the unscanned window suffix,
+// confirming those that cannot change with more input. It reports whether
+// it made progress (new confirmed tokens or a definitive-error
+// transition).
 func (s *Scanner) scanMore() bool {
+	if s.stmtTok > 0 {
+		kept := copy(s.toks, s.toks[s.stmtTok:])
+		s.toks = s.toks[:kept]
+		s.walk -= s.stmtTok
+		s.stmtTok = 0
+	}
 	n := len(s.toks)
-	toks, err := s.lex.ScanPartialFrom(s.window, s.scanOff, s.scanLine, s.scanCol, s.toks)
+	toks, err := s.lex.ScanPartialFrom(s.window, s.scanOff, s.scanLine, s.scanCol, scanIncrement, s.toks)
 	s.toks = toks
 	if err != nil {
 		var le *lexer.Error

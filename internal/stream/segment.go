@@ -1,8 +1,9 @@
 // Package stream walks arbitrarily large SQL scripts as a sequence of
 // statements with bounded memory. The Scanner feeds fixed-size reads
-// through lexer.ScanPartialFrom and yields one Statement per top-level
-// ';' boundary from a reusable token buffer, so peak memory is
-// proportional to the largest single statement, not the script.
+// through lexer.ScanPartialFrom, a bounded number of tokens at a time,
+// and yields one Statement per top-level ';' boundary from a reusable
+// token buffer, so peak memory is proportional to the largest single
+// statement and one read, not the script.
 //
 // The statement-boundary rules here are THE segmentation used by the
 // whole system: parser statement recovery (internal/parser/recover.go)
