@@ -2,68 +2,76 @@ package grammar
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// Analysis holds the classic grammar analyses (nullable, FIRST, FOLLOW)
-// computed for a grammar, plus structural diagnostics. The parse engine uses
-// FIRST sets for LL prediction; the LL(1) conflict report documents where
-// the composed grammar needs backtracking (ANTLR's syntactic predicates play
+// Analysis holds the grammar analyses a parser build needs: which
+// nonterminals derive the empty string (nullable) and which tokens can
+// begin each one (FIRST). The parse engine predicts with FIRST sets; the
+// LL(1) conflict report, which also reads FOLLOW, documents where the
+// composed grammar needs backtracking (ANTLR's syntactic predicates play
 // this role in the paper's prototype).
+//
+// Every token set is a bitset over Tokens, the grammar's referenced tokens
+// in sorted order: bit i is Tokens()[i]. That is the numbering lexer.Tables
+// gives the scanner's token ids and parser.compile gives the prediction
+// sets, so a FIRST set reaches the compiled program without conversion.
+// Nullable and FIRST are computed once, by fixpoints that allocate nothing
+// per expression visited. FOLLOW is computed only when LL1Conflicts or
+// Follow first asks for it: no parser build reads it. An Analysis is safe
+// for concurrent use.
 type Analysis struct {
-	g *Grammar
+	g      *Grammar
+	tokens []string
+	tokID  map[string]int
+	prodID map[string]int // index of each production in g.Productions()
 
-	// Nullable reports, per nonterminal, whether it derives the empty string.
-	Nullable map[string]bool
-	// First maps each nonterminal to the set of token names that can begin it.
-	First map[string]map[string]bool
-	// Follow maps each nonterminal to the set of token names that can follow it.
-	// The special token name EOFToken marks end of input.
-	Follow map[string]map[string]bool
+	nullable []bool   // per production
+	words    int      // words per FIRST set: max(1, ⌈len(tokens)/64⌉)
+	first    []uint64 // per production, words each
+
+	followOnce  sync.Once
+	followWords int      // ⌈(len(tokens)+1)/64⌉: bit len(tokens) is end of input
+	follow      []uint64 // per production, followWords each
 }
 
 // EOFToken is the pseudo-token used in FOLLOW sets for end of input.
 const EOFToken = "<EOF>"
 
-// Analyze computes nullable, FIRST and FOLLOW for g. Undefined nonterminals
-// are treated as non-nullable with empty FIRST sets; Validate reports them.
+// Analyze computes nullable and FIRST for g. Undefined nonterminals are
+// treated as non-nullable with empty FIRST sets; Validate reports them.
 func Analyze(g *Grammar) *Analysis {
+	a := newAnalysis(g)
+	a.computeFirst()
+	return a
+}
+
+// newAnalysis numbers g's tokens and productions and computes nullable,
+// all that finding left recursion needs.
+func newAnalysis(g *Grammar) *Analysis {
+	prods := g.Productions()
 	a := &Analysis{
 		g:        g,
-		Nullable: map[string]bool{},
-		First:    map[string]map[string]bool{},
-		Follow:   map[string]map[string]bool{},
+		tokens:   g.ReferencedTokens(),
+		prodID:   make(map[string]int, len(prods)),
+		nullable: make([]bool, len(prods)),
 	}
-	for _, p := range g.Productions() {
-		a.First[p.Name] = map[string]bool{}
-		a.Follow[p.Name] = map[string]bool{}
+	a.tokID = make(map[string]int, len(a.tokens))
+	for i, t := range a.tokens {
+		a.tokID[t] = i
 	}
-	// Fixed point for nullable + FIRST.
-	for changed := true; changed; {
-		changed = false
-		for _, p := range g.Productions() {
-			n, f := a.exprFirst(p.Expr)
-			if n && !a.Nullable[p.Name] {
-				a.Nullable[p.Name] = true
-				changed = true
-			}
-			for t := range f {
-				if !a.First[p.Name][t] {
-					a.First[p.Name][t] = true
-					changed = true
-				}
-			}
-		}
-	}
-	// Fixed point for FOLLOW.
-	if g.Start != "" && a.Follow[g.Start] != nil {
-		a.Follow[g.Start][EOFToken] = true
+	for i, p := range prods {
+		a.prodID[p.Name] = i
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, p := range g.Productions() {
-			if a.followExpr(p.Expr, a.Follow[p.Name]) {
+		for i, p := range prods {
+			if !a.nullable[i] && a.nullableExpr(p.Expr) {
+				a.nullable[i] = true
 				changed = true
 			}
 		}
@@ -71,94 +79,203 @@ func Analyze(g *Grammar) *Analysis {
 	return a
 }
 
-// exprFirst returns (nullable, FIRST) for an expression under the current
-// fixed-point state.
-func (a *Analysis) exprFirst(e Expr) (bool, map[string]bool) {
-	first := map[string]bool{}
+// nullableExpr reports whether e derives the empty string under the
+// nullable flags computed so far.
+func (a *Analysis) nullableExpr(e Expr) bool {
 	switch x := e.(type) {
-	case Tok:
-		first[x.Name] = true
-		return false, first
 	case NT:
-		for t := range a.First[x.Name] {
-			first[t] = true
-		}
-		return a.Nullable[x.Name], first
+		id, ok := a.prodID[x.Name]
+		return ok && a.nullable[id]
 	case Seq:
-		nullable := true
 		for _, it := range x.Items {
-			n, f := a.exprFirst(it)
-			if nullable {
-				for t := range f {
-					first[t] = true
-				}
-			}
-			if !n {
-				nullable = false
+			if !a.nullableExpr(it) {
+				return false
 			}
 		}
-		return nullable, first
+		return true
 	case Choice:
-		nullable := false
 		for _, alt := range x.Alts {
-			n, f := a.exprFirst(alt)
-			nullable = nullable || n
-			for t := range f {
-				first[t] = true
+			if a.nullableExpr(alt) {
+				return true
 			}
 		}
-		return nullable, first
-	case Opt:
-		_, f := a.exprFirst(x.Body)
-		return true, f
-	case Star:
-		_, f := a.exprFirst(x.Body)
-		return true, f
+		return false
+	case Opt, Star:
+		return true
 	case Plus:
-		n, f := a.exprFirst(x.Body)
-		return n, f
+		return a.nullableExpr(x.Body)
 	}
-	return false, first
+	return false
 }
 
-// followExpr propagates FOLLOW information through expression e, where
-// follow is the set that can follow e as a whole. Returns true if any
-// FOLLOW set grew.
-func (a *Analysis) followExpr(e Expr, follow map[string]bool) bool {
-	changed := false
-	switch x := e.(type) {
-	case NT:
-		dst := a.Follow[x.Name]
-		if dst == nil {
-			return false
-		}
-		for t := range follow {
-			if !dst[t] {
-				dst[t] = true
+// computeFirst runs the FIRST fixpoint over the final nullable flags,
+// growing each production's set in place.
+func (a *Analysis) computeFirst() {
+	prods := a.g.Productions()
+	a.words = max(1, (len(a.tokens)+63)/64)
+	a.first = make([]uint64, len(prods)*a.words)
+	before := make([]uint64, a.words)
+	// Productions are composed top-down, so FIRST sets flow from the last
+	// toward the first: visiting them in reverse settles most in one pass.
+	for changed := true; changed; {
+		changed = false
+		for i := len(prods) - 1; i >= 0; i-- {
+			set := a.firstOf(i)
+			copy(before, set)
+			a.FirstInto(prods[i].Expr, set)
+			if !slices.Equal(before, set) {
 				changed = true
 			}
 		}
+	}
+}
+
+func (a *Analysis) firstOf(id int) []uint64 { return a.first[id*a.words : (id+1)*a.words] }
+
+// Tokens returns the grammar's referenced tokens, sorted: the meaning of
+// each bit of the analysis's token sets. Callers must not mutate it.
+func (a *Analysis) Tokens() []string { return a.tokens }
+
+// FirstInto adds FIRST(e) to set, a bitset over Tokens at least
+// max(1, ⌈len(Tokens)/64⌉) words long, and reports whether e derives the
+// empty string.
+func (a *Analysis) FirstInto(e Expr, set []uint64) (nullable bool) {
+	switch x := e.(type) {
+	case Tok:
+		id := a.tokID[x.Name]
+		set[id>>6] |= 1 << (id & 63)
+		return false
+	case NT:
+		id, ok := a.prodID[x.Name]
+		if !ok {
+			return false
+		}
+		for i, w := range a.firstOf(id) {
+			set[i] |= w
+		}
+		return a.nullable[id]
 	case Seq:
-		// Walk right to left, maintaining the set that can follow item i.
-		cur := follow
+		for _, it := range x.Items {
+			if !a.FirstInto(it, set) {
+				return false
+			}
+		}
+		return true
+	case Choice:
+		for _, alt := range x.Alts {
+			if a.FirstInto(alt, set) {
+				nullable = true
+			}
+		}
+		return nullable
+	case Opt:
+		a.FirstInto(x.Body, set)
+		return true
+	case Star:
+		a.FirstInto(x.Body, set)
+		return true
+	case Plus:
+		return a.FirstInto(x.Body, set)
+	}
+	return false
+}
+
+// Nullable reports whether the named production derives the empty string.
+func (a *Analysis) Nullable(name string) bool {
+	id, ok := a.prodID[name]
+	return ok && a.nullable[id]
+}
+
+// First returns the tokens that can begin the named production, sorted.
+func (a *Analysis) First(name string) []string {
+	id, ok := a.prodID[name]
+	if !ok {
+		return nil
+	}
+	return a.names(a.firstOf(id))
+}
+
+// Follow returns the tokens that can follow the named production, sorted;
+// EOFToken stands for end of input.
+func (a *Analysis) Follow(name string) []string {
+	id, ok := a.prodID[name]
+	if !ok {
+		return nil
+	}
+	a.followOnce.Do(a.computeFollow)
+	return a.names(a.followOf(id))
+}
+
+// names lists the tokens of set, sorted by name.
+func (a *Analysis) names(set []uint64) []string {
+	var out []string
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			id := i<<6 + bits.TrailingZeros64(w)
+			if id == len(a.tokens) {
+				out = append(out, EOFToken)
+			} else {
+				out = append(out, a.tokens[id])
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (a *Analysis) followOf(id int) []uint64 {
+	return a.follow[id*a.followWords : (id+1)*a.followWords]
+}
+
+// computeFollow runs the FOLLOW fixpoint. The start symbol is followed by
+// end of input.
+func (a *Analysis) computeFollow() {
+	prods := a.g.Productions()
+	a.followWords = len(a.tokens)/64 + 1
+	a.follow = make([]uint64, len(prods)*a.followWords)
+	if id, ok := a.prodID[a.g.Start]; ok {
+		eof := len(a.tokens)
+		a.followOf(id)[eof>>6] |= 1 << (eof & 63)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, p := range prods {
+			if a.followExpr(p.Expr, a.followOf(i)) {
+				changed = true
+			}
+		}
+	}
+}
+
+// followExpr adds follow, the set that can follow e as a whole, to the
+// FOLLOW sets of the nonterminals that can end e, and recurses. It
+// reports whether any FOLLOW set grew. Only LL1Conflicts and Follow run
+// it, so it allocates its scratch sets per visit.
+func (a *Analysis) followExpr(e Expr, follow []uint64) bool {
+	changed := false
+	switch x := e.(type) {
+	case NT:
+		if id, ok := a.prodID[x.Name]; ok {
+			dst := a.followOf(id)
+			for i, w := range follow {
+				if dst[i]|w != dst[i] {
+					dst[i] |= w
+					changed = true
+				}
+			}
+		}
+	case Seq:
+		// Walk right to left, keeping the set that can follow item i.
+		cur := slices.Clone(follow)
 		for i := len(x.Items) - 1; i >= 0; i-- {
 			it := x.Items[i]
 			if a.followExpr(it, cur) {
 				changed = true
 			}
-			n, f := a.exprFirst(it)
-			if n {
-				merged := map[string]bool{}
-				for t := range cur {
-					merged[t] = true
-				}
-				for t := range f {
-					merged[t] = true
-				}
-				cur = merged
-			} else {
-				cur = f
+			if !a.nullableExpr(it) {
+				clear(cur)
 			}
+			a.FirstInto(it, cur)
 		}
 	case Choice:
 		for _, alt := range x.Alts {
@@ -167,37 +284,21 @@ func (a *Analysis) followExpr(e Expr, follow map[string]bool) bool {
 			}
 		}
 	case Opt:
-		if a.followExpr(x.Body, follow) {
-			changed = true
-		}
-	case Star, Plus:
-		var body Expr
-		if s, ok := x.(Star); ok {
-			body = s.Body
-		} else {
-			body = x.(Plus).Body
-		}
-		// The body can be followed by its own FIRST (next iteration) or by
-		// whatever follows the repetition.
-		_, f := a.exprFirst(body)
-		merged := map[string]bool{}
-		for t := range follow {
-			merged[t] = true
-		}
-		for t := range f {
-			merged[t] = true
-		}
-		if a.followExpr(body, merged) {
-			changed = true
-		}
+		changed = a.followExpr(x.Body, follow)
+	case Star:
+		changed = a.followRepeat(x.Body, follow)
+	case Plus:
+		changed = a.followRepeat(x.Body, follow)
 	}
 	return changed
 }
 
-// FirstOfExpr exposes FIRST/nullable computation for arbitrary expressions
-// (used by the parse engine for prediction at choice points).
-func (a *Analysis) FirstOfExpr(e Expr) (nullable bool, first map[string]bool) {
-	return a.exprFirst(e)
+// followRepeat propagates follow into a repeated body, which can also be
+// followed by its own FIRST (the next iteration).
+func (a *Analysis) followRepeat(body Expr, follow []uint64) bool {
+	merged := slices.Clone(follow)
+	a.FirstInto(body, merged)
+	return a.followExpr(body, merged)
 }
 
 // LL1Conflict describes a production where LL(1) prediction is ambiguous:
@@ -215,32 +316,37 @@ func (c LL1Conflict) String() string {
 }
 
 // LL1Conflicts reports all productions whose top-level alternatives are not
-// LL(1)-distinguishable.
+// LL(1)-distinguishable. It computes FOLLOW the first time it is called.
 func (a *Analysis) LL1Conflicts() []LL1Conflict {
+	a.followOnce.Do(a.computeFollow)
+	n := a.followWords
+	seen, overlap, cur := make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	var out []LL1Conflict
-	for _, p := range a.g.Productions() {
+	for i, p := range a.g.Productions() {
 		alts := p.Alternatives()
 		if len(alts) < 2 {
 			continue
 		}
-		overlap := map[string]bool{}
-		seen := map[string]bool{}
+		clear(seen)
+		clear(overlap)
+		overlaps := false
 		for _, alt := range alts {
-			n, f := a.exprFirst(alt)
-			if n {
-				for t := range a.Follow[p.Name] {
-					f[t] = true
+			clear(cur)
+			if a.FirstInto(alt, cur) {
+				for k, w := range a.followOf(i) {
+					cur[k] |= w
 				}
 			}
-			for t := range f {
-				if seen[t] {
-					overlap[t] = true
+			for k, w := range cur {
+				if o := seen[k] & w; o != 0 {
+					overlap[k] |= o
+					overlaps = true
 				}
-				seen[t] = true
+				seen[k] |= w
 			}
 		}
-		if len(overlap) > 0 {
-			out = append(out, LL1Conflict{Production: p.Name, Tokens: sortedKeys(overlap)})
+		if overlaps {
+			out = append(out, LL1Conflict{Production: p.Name, Tokens: a.names(overlap)})
 		}
 	}
 	return out
@@ -251,66 +357,70 @@ func (a *Analysis) LL1Conflicts() []LL1Conflict {
 // left-recursive productions, so Validate rejects them; the SQL:2003
 // decomposition uses repetition groups instead (as LL grammars must).
 func LeftRecursive(g *Grammar) []string {
-	return Analyze(g).leftRecursive()
+	return newAnalysis(g).leftRecursive()
 }
 
-// leftRecursive is LeftRecursive over the analysed grammar.
+// leftRecursive finds left recursion from nullable alone: A is
+// left-recursive if A can reach itself through the nonterminals that can
+// occur leftmost in a derivation.
 func (a *Analysis) leftRecursive() []string {
-	// leftEdges[A] = set of nonterminals that can appear leftmost in A.
-	leftEdges := map[string]map[string]bool{}
-	for _, p := range a.g.Productions() {
-		set := map[string]bool{}
-		collectLeftmost(a, p.Expr, set)
-		leftEdges[p.Name] = set
+	prods := a.g.Productions()
+	edges := make([][]int, len(prods))
+	for i, p := range prods {
+		edges[i] = a.leftmost(p.Expr, nil)
 	}
-	// A is left-recursive if A is reachable from A via leftEdges.
 	var out []string
-	for name := range leftEdges {
-		if reachable(leftEdges, name, name, map[string]bool{}) {
-			out = append(out, name)
+	seen := make([]int, len(prods))
+	for i, p := range prods {
+		if reaches(edges, i, i, seen, i+1) {
+			out = append(out, p.Name)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// collectLeftmost adds to set every nonterminal that can occur at the start
-// of a derivation of e.
-func collectLeftmost(a *Analysis, e Expr, set map[string]bool) {
+// leftmost appends to out the productions that can occur at the start of
+// a derivation of e.
+func (a *Analysis) leftmost(e Expr, out []int) []int {
 	switch x := e.(type) {
 	case NT:
-		set[x.Name] = true
+		if id, ok := a.prodID[x.Name]; ok {
+			out = append(out, id)
+		}
 	case Seq:
 		for _, it := range x.Items {
-			collectLeftmost(a, it, set)
-			if n, _ := a.exprFirst(it); !n {
-				return // later items cannot be leftmost
+			out = a.leftmost(it, out)
+			if !a.nullableExpr(it) {
+				break // later items cannot be leftmost
 			}
 		}
 	case Choice:
 		for _, alt := range x.Alts {
-			collectLeftmost(a, alt, set)
+			out = a.leftmost(alt, out)
 		}
 	case Opt:
-		collectLeftmost(a, x.Body, set)
+		out = a.leftmost(x.Body, out)
 	case Star:
-		collectLeftmost(a, x.Body, set)
+		out = a.leftmost(x.Body, out)
 	case Plus:
-		collectLeftmost(a, x.Body, set)
+		out = a.leftmost(x.Body, out)
 	}
+	return out
 }
 
-func reachable(edges map[string]map[string]bool, from, to string, seen map[string]bool) bool {
-	for next := range edges[from] {
+// reaches reports whether to is reachable from from along edges; seen
+// marks visited productions with stamp.
+func reaches(edges [][]int, from, to int, seen []int, stamp int) bool {
+	for _, next := range edges[from] {
 		if next == to {
 			return true
 		}
-		if seen[next] {
-			continue
-		}
-		seen[next] = true
-		if reachable(edges, next, to, seen) {
-			return true
+		if seen[next] != stamp {
+			seen[next] = stamp
+			if reaches(edges, next, to, seen, stamp) {
+				return true
+			}
 		}
 	}
 	return false
@@ -351,24 +461,26 @@ func (e *ValidationError) Error() string {
 // every referenced terminal defined in the token set. Unreachable
 // productions are recorded but do not make the grammar invalid — composition
 // may legitimately carry helper rules that a particular product does not use.
-// When the grammar is valid it returns g's analysis, the one it found left
-// recursion with, so a build computes nullable, FIRST and FOLLOW once.
+// Left recursion is found from nullable alone; when the grammar is valid
+// Validate computes FIRST and returns the analysis, so a build analyses its
+// grammar once.
 func Validate(g *Grammar, tokens *TokenSet) (*Analysis, error) {
-	an := Analyze(g)
+	an := newAnalysis(g)
 	ve := &ValidationError{Grammar: g.Name}
 	ve.Undefined = g.UndefinedNonterminals()
 	ve.LeftRec = an.leftRecursive()
 	if tokens != nil {
-		for _, t := range g.ReferencedTokens() {
+		for _, t := range an.tokens {
 			if !tokens.Has(t) {
 				ve.MissingTok = append(ve.MissingTok, t)
 			}
 		}
 	}
-	ve.Unreached = Unreachable(g)
 	if len(ve.Undefined) == 0 && len(ve.LeftRec) == 0 && len(ve.MissingTok) == 0 {
+		an.computeFirst()
 		return an, nil
 	}
+	ve.Unreached = Unreachable(g)
 	return nil, ve
 }
 

@@ -1,6 +1,7 @@
 package grammar
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -249,22 +250,20 @@ s : a B ;
 a : A | /* via optional */ ( C )? ;
 `)
 	an := Analyze(g)
-	if !an.Nullable["a"] {
+	if !an.Nullable("a") {
 		t.Error("a must be nullable")
 	}
-	if an.Nullable["s"] {
+	if an.Nullable("s") {
 		t.Error("s must not be nullable")
 	}
-	for _, tok := range []string{"A", "C", "B"} {
-		if !an.First["s"][tok] {
-			t.Errorf("FIRST(s) missing %s: %v", tok, an.First["s"])
-		}
+	if got := an.First("s"); !slices.Equal(got, []string{"A", "B", "C"}) {
+		t.Errorf("FIRST(s) = %v, want [A B C]", got)
 	}
-	if !an.Follow["a"]["B"] {
-		t.Errorf("FOLLOW(a) missing B: %v", an.Follow["a"])
+	if got := an.Follow("a"); !slices.Equal(got, []string{"B"}) {
+		t.Errorf("FOLLOW(a) = %v, want [B]", got)
 	}
-	if !an.Follow["s"][EOFToken] {
-		t.Errorf("FOLLOW(s) missing EOF: %v", an.Follow["s"])
+	if got := an.Follow("s"); !slices.Equal(got, []string{EOFToken}) {
+		t.Errorf("FOLLOW(s) = %v, want [%s]", got, EOFToken)
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 // grammar.Validate returned for g. Every expression is compiled once into
 // a flat node carrying, where a pass tests the lookahead, its FIRST set as
 // a bitset over the ids the scanner stamps on tokens — the index of each
-// terminal in refs, the grammar's referenced tokens (the numbering
-// lexer.Tables uses) — with productions as indices, so prediction is a
-// bitset test and memo keys are integers. predict enables FIRST-set
-// pruning: without it every First is nil, so neither pass prunes.
-func compile(g *grammar.Grammar, an *grammar.Analysis, refs []string, predict bool) *rt.Program {
+// terminal in an.Tokens(), the grammar's referenced tokens (the numbering
+// lexer.Tables uses, and the one the analysis's bitsets are over) — with
+// productions as indices, so prediction is a bitset test and memo keys are
+// integers. predict enables FIRST-set pruning: without it every First is
+// nil, so neither pass prunes.
+func compile(g *grammar.Grammar, an *grammar.Analysis, predict bool) *rt.Program {
+	refs := an.Tokens()
 	tokenID := make(map[string]int32, len(refs))
 	for i, t := range refs {
 		tokenID[t] = int32(i)
@@ -29,6 +31,9 @@ func compile(g *grammar.Grammar, an *grammar.Analysis, refs []string, predict bo
 		Tokens: refs,
 	}
 	words := max(1, (len(refs)+63)/64)
+	// first is the set the next guarded node's FIRST is written into; a
+	// nullable node leaves it to the next.
+	var first rt.Bits
 	// conv appends e's nodes and returns e's index. guarded marks the
 	// nodes a pass predicts: alternatives and optional or repeated bodies.
 	var conv func(e grammar.Expr, guarded bool) int32
@@ -56,13 +61,13 @@ func compile(g *grammar.Grammar, an *grammar.Analysis, refs []string, predict bo
 			n.Kids = append(n.Kids, conv(k, n.Op != rt.OpSeq))
 		}
 		if guarded && predict {
-			if nullable, fs := an.FirstOfExpr(e); !nullable {
-				n.First = make(rt.Bits, words)
-				for name := range fs {
-					if id, ok := tokenID[name]; ok {
-						n.First[id>>6] |= 1 << (uint32(id) & 63)
-					}
-				}
+			if first == nil {
+				first = make(rt.Bits, words)
+			}
+			if an.FirstInto(e, first) {
+				clear(first)
+			} else {
+				n.First, first = first, nil
 			}
 		}
 		pg.Nodes = append(pg.Nodes, n)

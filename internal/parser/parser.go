@@ -108,12 +108,11 @@ func New(g *grammar.Grammar, ts *grammar.TokenSet, opts Options) (*Parser, error
 	if err != nil {
 		return nil, err
 	}
-	refs := g.ReferencedTokens()
-	rp, err := lexer.Tables(ts, refs)
+	rp, err := lexer.Tables(ts, an.Tokens())
 	if err != nil {
 		return nil, err
 	}
-	rp.Program, rp.MaxTokens = compile(g, an, refs, !opts.DisablePrediction), opts.MaxTokens
+	rp.Program, rp.MaxTokens = compile(g, an, !opts.DisablePrediction), opts.MaxTokens
 	return &Parser{Parser: rp, g: g, ts: ts, lex: lexer.Over(rp), opts: opts}, nil
 }
 

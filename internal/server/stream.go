@@ -142,6 +142,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	scanErr := p.Run(r.Context(), sc)
+	// An aborted scan leaves body unread. Close it here, in the handler:
+	// net/http otherwise drains it after cancelling its own pending read,
+	// the drain's EOF starts another, and the connection's next read
+	// panics on the concurrent Body.Read.
+	r.Body.Close()
 
 	if scanErr != nil {
 		sum.Error = scanErr.Error()
