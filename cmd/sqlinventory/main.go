@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 
+	"sqlspl/internal/configure"
 	"sqlspl/internal/feature"
 	"sqlspl/internal/sql2003"
 )
@@ -47,16 +48,16 @@ func main() {
 	}
 
 	fmt.Printf("%-24s %9s %10s %12s  %s\n", "DIAGRAM", "FEATURES", "UNITS", "PRODUCTS", "DESCRIPTION")
+	spaces := configure.New(m).Space() // in model order, one per diagram
 	totalFeatures, totalUnits := 0, 0
-	for _, d := range m.Diagrams {
+	for i, d := range m.Diagrams {
 		units := map[string]bool{}
 		d.WalkFeatures(func(f *feature.Feature) {
 			for _, u := range f.Units {
 				units[u] = true
 			}
 		})
-		products := feature.CountProducts(d)
-		fmt.Printf("%-24s %9d %10d %12d  %s\n", d.Name, d.Count(), len(units), products, d.Doc)
+		fmt.Printf("%-24s %9d %10d %12d  %s\n", d.Name, d.Count(), len(units), spaces[i].Products, d.Doc)
 		totalFeatures += d.Count()
 		totalUnits += len(units)
 	}

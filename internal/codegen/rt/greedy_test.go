@@ -1,7 +1,7 @@
 // The greedy pass may only ever prove what the packrat pass accepts: these
-// tests hold it to that on every preset, over the interpreted program and
-// the generated one, and on solver-sampled products, and pin that both
-// engines carry the same program.
+// tests hold it to that on every preset, over the interpreted parser and
+// the generated one (which promotion proves the same), and on
+// solver-sampled products.
 // They also pin its coverage and linearity: the statements the serving
 // workloads send, long select lists and deep nesting are proven by the
 // greedy pass alone, which spends at most a fixed number of node visits
@@ -10,7 +10,6 @@ package rt_test
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -35,32 +34,30 @@ type subject struct {
 }
 
 // subjects returns every preset's interpreted and generated parsers, and
-// fails when the two do not carry the same program and keyword table.
+// fails unless the generated one promotes: promotion admits only a parser
+// that is the interpreter's own, table for table.
 func subjects(t testing.TB) []subject {
 	t.Helper()
-	generated := map[string]*rt.Parser{}
-	for _, g := range engine.Registered() {
-		generated[g.Preset] = g.Parser
-	}
 	var out []subject
 	for _, name := range dialect.Names() {
 		p, err := dialect.Build(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		interp, gen := p.Parser.Parser, generated[string(name)]
-		if gen == nil {
+		sel, err := dialect.Selection(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := engine.Lookup(sel.Fingerprint())
+		if !ok {
 			t.Fatalf("%s: no generated parser registered", name)
 		}
-		if !reflect.DeepEqual(gen.Program, interp.Program) {
-			t.Fatalf("%s: the generated parser's program differs from the interpreter's", name)
-		}
-		if !reflect.DeepEqual(gen.Keywords, interp.Keywords) {
-			t.Fatalf("%s: the generated parser's keyword table differs from the interpreter's", name)
+		if _, promoted := engine.ForProduct(p, sel.Fingerprint()); !promoted {
+			t.Fatalf("%s: the generated parser differs from the interpreter's", name)
 		}
 		out = append(out,
-			subject{string(name) + "/interpreted", interp},
-			subject{string(name) + "/generated", gen})
+			subject{string(name) + "/interpreted", p.Parser.Parser},
+			subject{string(name) + "/generated", g.Parser})
 	}
 	return out
 }

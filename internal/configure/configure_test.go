@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sqlspl/internal/feature"
+	"sqlspl/internal/sql2003"
 )
 
 // testModel mirrors feature's analysisModel: an Or group, an Alternative
@@ -304,25 +305,70 @@ func TestSpaceMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// countProducts is the closed-form product count of a diagram that has no
+// intra-diagram constraints: the uint64 counter the feature package had
+// before the solver became the only one, kept as an oracle that, unlike
+// bruteCount, reaches diagrams of real size.
+func countProducts(f *feature.Feature) uint64 {
+	if len(f.Children) == 0 {
+		return 1
+	}
+	switch f.Group {
+	case feature.Or:
+		// Any non-empty subset of children, each child configured.
+		total := uint64(1)
+		for _, ch := range f.Children {
+			total *= countProducts(ch) + 1
+		}
+		return total - 1
+	case feature.Alternative:
+		var total uint64
+		for _, ch := range f.Children {
+			total += countProducts(ch)
+		}
+		return total
+	}
+	total := uint64(1)
+	for _, ch := range f.Children {
+		ways := countProducts(ch)
+		if ch.Optional {
+			ways++ // or leave it out
+		}
+		total *= ways
+	}
+	return total
+}
+
+// TestSpaceUnconstrainedMatchesCountProducts holds the DP to countProducts
+// on every diagram without intra-diagram constraints: testModel's two,
+// whose constraints all cross diagrams, and those of the SQL:2003 model.
 func TestSpaceUnconstrainedMatchesCountProducts(t *testing.T) {
-	m := testModel(t)
-	s := New(m)
-	for _, ds := range s.Space() {
-		var d *feature.Diagram
-		for _, cand := range m.Diagrams {
-			if cand.Name == ds.Diagram {
-				d = cand
+	checked := 0
+	for _, m := range []*feature.Model{testModel(t), sql2003.MustModel()} {
+		constrained := map[*feature.Diagram]bool{}
+		for _, con := range m.Constraints {
+			if d := m.DiagramOf(con.A); d == m.DiagramOf(con.B) {
+				constrained[d] = true
 			}
 		}
-		// Both diagrams of testModel have no intra-diagram constraints, so
-		// the DP must agree with feature.CountProducts.
-		if !ds.Exact {
-			t.Errorf("%s: expected exact count", ds.Diagram)
-		}
-		if want := feature.CountProducts(d); ds.Products.Uint64() != want {
-			t.Errorf("%s: %s products, CountProducts says %d", ds.Diagram, ds.Products, want)
+		for i, ds := range New(m).Space() {
+			d := m.Diagrams[i]
+			if d.Name != ds.Diagram {
+				t.Fatalf("space %d is %s, diagram %d is %s", i, ds.Diagram, i, d.Name)
+			}
+			if constrained[d] {
+				continue
+			}
+			if !ds.Exact {
+				t.Errorf("%s: expected exact count", ds.Diagram)
+			}
+			if want := countProducts(d.Root); !ds.Products.IsUint64() || ds.Products.Uint64() != want {
+				t.Errorf("%s: %s products, countProducts says %d", ds.Diagram, ds.Products, want)
+			}
+			checked++
 		}
 	}
+	t.Logf("checked %d unconstrained diagrams", checked)
 }
 
 func TestEnumerateClips(t *testing.T) {

@@ -28,9 +28,9 @@ type DiagramSpace struct {
 	Note  string
 }
 
-// ways returns the number of configurations of the subtree rooted at f,
-// given that f is selected, ignoring constraints (the same recurrence as
-// feature.CountProducts, in exact arithmetic). Memoized per solver.
+// waysOf returns the number of configurations of the subtree rooted at f,
+// given that f is selected, ignoring constraints, in exact arithmetic.
+// Memoized per solver.
 func (s *Solver) waysOf(f *feature.Feature) *big.Int {
 	s.mu.Lock()
 	if n, ok := s.ways[f.Name]; ok {

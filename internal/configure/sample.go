@@ -9,14 +9,14 @@ import (
 )
 
 // Sampler draws uniformly-ish valid configurations from the solved product
-// space. Unlike feature.Model.Sample's coin-flip walk with rejection-style
-// fix-up, every random choice here is weighted by the exact subtree counts
-// (count.go), so within one diagram each valid subtree configuration is
-// (up to Or-group conditioning) equally likely; cross-tree constraints are
-// then discharged by the deterministic solver (Complete), which adds the
-// minimal forced remainder instead of re-rolling. A Sampler is a pure
-// function of (model, seed, diagramP, must) and not safe for concurrent
-// use; create one per goroutine.
+// space; it is the feature model's one sampler. Every random choice is
+// weighted by the exact subtree counts (count.go), so within one diagram
+// each valid subtree configuration is (up to Or-group conditioning)
+// equally likely; cross-tree constraints are then discharged by the
+// deterministic solver (Complete), which adds the minimal forced
+// remainder instead of re-rolling. A Sampler is a pure function of
+// (model, seed, diagramP, must) and not safe for concurrent use; create
+// one per goroutine.
 type Sampler struct {
 	s        *Solver
 	rng      *rand.Rand

@@ -32,15 +32,18 @@
 //
 // # Staleness
 //
-// A registered parser was generated from some grammar; the grammar a
-// fingerprint resolves to can drift (the sql2003 feature units evolve).
-// Registration therefore records a hash of the exact grammar + token set
-// the parser was generated from, and promotion re-derives the hash from
-// the freshly built product. A mismatch means the checked-in parser is
-// stale: promotion is refused (counted in HotCounters().StaleSkips) and
-// the interpreted engine serves instead — correctness never depends on
-// regeneration having happened, only speed does. CI pins the committed
-// parsers with a go generate diff check.
+// A registered parser is a literal printed from some earlier build, and
+// what a fingerprint builds to can drift: the sql2003 feature units
+// evolve, and so do the scanner tables (lexer.Tables) and the compiler
+// (internal/parser) that turn a grammar into a runtime parser. Promotion
+// therefore compares the registered parser with the freshly built
+// product's own, field by field — keyword table, punctuation, classes,
+// display names, program and token cap, everything the runtime reads. Any
+// difference means the checked-in parser is stale: promotion is refused
+// (counted in HotCounters().StaleSkips) and the interpreted engine serves
+// instead — correctness never depends on regeneration having happened,
+// only speed does. CI pins the committed parsers with a go generate diff
+// check, and its server smoke asserts that warm-up skipped none.
 //
 // # Diagnose fallback
 //
@@ -52,15 +55,14 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"sqlspl/internal/codegen/rt"
 	"sqlspl/internal/core"
-	"sqlspl/internal/grammar"
 	"sqlspl/internal/parser"
 )
 
@@ -119,8 +121,8 @@ type Counters struct {
 	// DiagFallbacks counts the Diagnose calls a generated engine delegated
 	// to the interpreted parser (all of its Diagnose calls).
 	DiagFallbacks uint64
-	// StaleSkips counts promotions refused because the registered parser's
-	// grammar hash no longer matches the built product.
+	// StaleSkips counts promotions refused because the registered parser
+	// differs from the built product's own.
 	StaleSkips uint64
 }
 
@@ -150,23 +152,6 @@ func HotCounters() Counters {
 	}
 }
 
-// GrammarHash fingerprints the exact grammar + token set a parser was
-// generated from (hex SHA-256 over the canonical grammar rendering and the
-// token-set summary). Registration records it; promotion re-derives it.
-func GrammarHash(g *grammar.Grammar, ts *grammar.TokenSet) string {
-	h := sha256.New()
-	h.Write([]byte(grammar.Format(g)))
-	h.Write([]byte{0})
-	h.Write([]byte(ts.String()))
-	for _, d := range ts.Defs() {
-		h.Write([]byte(d.Name))
-		h.Write([]byte{1})
-		h.Write([]byte(d.Text))
-		h.Write([]byte{byte(d.Kind)})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Generated describes one registered build-time parser: the generated
 // package's parser on the shared runtime (internal/codegen/rt), whose
 // tree and error types are the seam's own (parser.Tree,
@@ -176,9 +161,6 @@ type Generated struct {
 	Preset string
 	// Fingerprint is the catalog fingerprint the parser registers under.
 	Fingerprint string
-	// GrammarSHA is GrammarHash of the grammar the parser was generated
-	// from; promotion refuses a mismatch.
-	GrammarSHA string
 	// Parser is the generated parser.
 	Parser *rt.Parser
 }
@@ -261,18 +243,45 @@ func (e *adapter) Diagnose(sql string) []parser.Diagnostic {
 }
 
 // ForProduct resolves the engine for a built product: the registered
-// generated parser when the catalog fingerprint matches and the grammar
-// hash confirms it is current, the interpreted engine otherwise. The
+// generated parser when the catalog fingerprint matches and the parser is
+// the product's own, field by field; the interpreted engine otherwise. The
 // boolean reports promotion (true = generated).
 func ForProduct(p *core.Product, fingerprint string) (Engine, bool) {
 	g, ok := Lookup(fingerprint)
 	if !ok {
 		return Interpreted(p, fingerprint), false
 	}
-	if g.GrammarSHA != GrammarHash(p.Grammar, p.Tokens) {
+	if !sameParser(g.Parser, p.Parser.Parser) {
 		hot.staleSkips.Add(1)
 		return Interpreted(p, fingerprint), false
 	}
 	return &adapter{rt: g.Parser, p: p, n: &hot.generated,
 		info: Info{Kind: KindGenerated, Product: p.Name, Fingerprint: g.Fingerprint}}, true
+}
+
+// sameParser reports whether two runtime parsers hold the same tables and
+// program, and so scan, check and parse every input alike.
+func sameParser(a, b *rt.Parser) bool {
+	return a.MaxTokens == b.MaxTokens &&
+		a.Classes == b.Classes &&
+		a.Keywords.MaxLen == b.Keywords.MaxLen &&
+		slices.Equal(a.Keywords.Words, b.Keywords.Words) &&
+		slices.Equal(a.Keywords.Slots, b.Keywords.Slots) &&
+		slices.EqualFunc(a.Puncts[:], b.Puncts[:], slices.Equal[[]rt.Punct]) &&
+		maps.Equal(a.Displays, b.Displays) &&
+		sameProgram(a.Program, b.Program)
+}
+
+func sameProgram(a, b *rt.Program) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Start == b.Start &&
+		slices.Equal(a.Names, b.Names) &&
+		slices.Equal(a.Tokens, b.Tokens) &&
+		slices.EqualFunc(a.Prods, b.Prods, slices.Equal[[]int32]) &&
+		slices.EqualFunc(a.Nodes, b.Nodes, func(x, y rt.Node) bool {
+			return x.Op == y.Op && x.Arg == y.Arg &&
+				slices.Equal(x.Kids, y.Kids) && slices.Equal(x.First, y.First)
+		})
 }

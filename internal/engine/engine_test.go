@@ -8,6 +8,7 @@ package engine_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,36 +198,54 @@ func TestDegenerateInputSemantics(t *testing.T) {
 	}
 }
 
-// TestStaleRegistrationFallsBack: a registered parser whose grammar hash
-// no longer matches the built product must not be promoted.
+// TestStaleRegistrationFallsBack: a registered parser that is not the
+// built product's own must not be promoted, however it differs: a parser
+// with no tables, and core's own tables with the keyword Slots ring
+// rotated by one slot, as a changed keyword hash leaves a literal printed
+// before the change. Neither scans the probe's keywords, so serving
+// either would reject it.
 func TestStaleRegistrationFallsBack(t *testing.T) {
-	p, err := dialect.Build(dialect.Minimal)
+	p, err := dialect.Build(dialect.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fp = "test-stale-fingerprint"
-	engine.Register(engine.Generated{
-		Preset:      "stale-test",
-		Fingerprint: fp,
-		GrammarSHA:  "deadbeef", // anything but GrammarHash(p.Grammar, p.Tokens)
-		// A parser with no tables scans nothing, so if it were served the
-		// probe below would be rejected.
-		Parser: &rt.Parser{},
-	})
-	t.Cleanup(func() { engine.Unregister(fp) })
-	before := engine.HotCounters().StaleSkips
-	eng, promoted := engine.ForProduct(p, fp)
-	if promoted {
-		t.Fatal("stale registration was promoted")
-	}
-	if eng.Info().Kind != engine.KindInterpreted {
-		t.Fatalf("fallback engine kind = %s", eng.Info().Kind)
-	}
-	if got := engine.HotCounters().StaleSkips; got != before+1 {
-		t.Errorf("StaleSkips = %d, want %d", got, before+1)
-	}
-	if !eng.Accepts("SELECT a FROM t") {
-		t.Error("fallback engine does not serve")
+	own := p.Parser.Parser
+	rotated := append(slices.Clone(own.Keywords.Slots[1:]), own.Keywords.Slots[0])
+	const probe = "SELECT a FROM t"
+	for _, c := range []struct {
+		name   string
+		parser *rt.Parser
+	}{
+		{"empty", &rt.Parser{}},
+		{"rotated-keyword-ring", &rt.Parser{
+			Keywords:  rt.KeywordTable{Words: own.Keywords.Words, Slots: rotated, MaxLen: own.Keywords.MaxLen},
+			Puncts:    own.Puncts,
+			Classes:   own.Classes,
+			Displays:  own.Displays,
+			Program:   own.Program,
+			MaxTokens: own.MaxTokens,
+		}},
+	} {
+		if c.parser.Program != nil && c.parser.Accepts(probe) {
+			t.Fatalf("%s: the stale parser accepts %q, so the probe cannot tell it from a current one", c.name, probe)
+		}
+		fp := "test-stale-" + c.name
+		engine.Register(engine.Generated{Preset: "stale-test", Fingerprint: fp, Parser: c.parser})
+		t.Cleanup(func() { engine.Unregister(fp) })
+		before := engine.HotCounters().StaleSkips
+		eng, promoted := engine.ForProduct(p, fp)
+		if promoted {
+			t.Fatalf("%s: stale registration was promoted", c.name)
+		}
+		if eng.Info().Kind != engine.KindInterpreted {
+			t.Fatalf("%s: fallback engine kind = %s", c.name, eng.Info().Kind)
+		}
+		if got := engine.HotCounters().StaleSkips; got != before+1 {
+			t.Errorf("%s: StaleSkips = %d, want %d", c.name, got, before+1)
+		}
+		if !eng.Accepts(probe) {
+			t.Errorf("%s: fallback engine does not serve", c.name)
+		}
 	}
 }
 

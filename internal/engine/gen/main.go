@@ -4,8 +4,7 @@
 // product, prints its parser with internal/codegen as a package on the
 // shared runtime (internal/codegen/rt) — one rt.Parser literal of tables
 // and grammar program, no functions — and writes a registration file
-// that registers the parser under the product's catalog fingerprint,
-// pinned to a hash of the exact grammar it was generated from.
+// that registers the parser under the product's catalog fingerprint.
 //
 // Invoked by the go:generate directive in internal/engine/generated; run
 // directly as
@@ -28,7 +27,6 @@ import (
 
 	"sqlspl/internal/codegen"
 	"sqlspl/internal/dialect"
-	"sqlspl/internal/engine"
 )
 
 func main() {
@@ -74,7 +72,7 @@ func generatePreset(name dialect.Name, out string) error {
 	if err != nil {
 		return err
 	}
-	regSrc, err := registration(string(name), fp, engine.GrammarHash(p.Grammar, p.Tokens))
+	regSrc, err := registration(string(name), fp)
 	if err != nil {
 		return err
 	}
@@ -98,10 +96,10 @@ package generated
 import (
 `
 
-// registration renders a preset package's register.go: the fingerprint,
-// the grammar hash, and the init-time registration of the package's
-// runtime parser, which the engine seam serves directly.
-func registration(pkg, fingerprint, grammarSHA string) ([]byte, error) {
+// registration renders a preset package's register.go: the fingerprint
+// and the init-time registration of the package's runtime parser, which
+// the engine seam serves directly.
+func registration(pkg, fingerprint string) ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `// Code generated by sqlspl/internal/engine/gen. DO NOT EDIT.
 
@@ -112,19 +110,13 @@ import "sqlspl/internal/engine"
 // Fingerprint is the catalog fingerprint this parser registers under.
 const Fingerprint = %q
 
-// GrammarSHA pins the exact grammar + token set the parser was generated
-// from; promotion refuses the registration if a freshly built product no
-// longer hashes to it.
-const GrammarSHA = %q
-
 func init() {
 	engine.Register(engine.Generated{
 		Preset:      %q,
 		Fingerprint: Fingerprint,
-		GrammarSHA:  GrammarSHA,
 		Parser:      product,
 	})
 }
-`, pkg, fingerprint, grammarSHA, pkg)
+`, pkg, fingerprint, pkg)
 	return format.Source(b.Bytes())
 }

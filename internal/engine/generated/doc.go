@@ -5,9 +5,8 @@
 // data: parser.go has one rt.Parser literal — scanner tables, display
 // names and the grammar program, whose FIRST sets are package-level
 // bitset literals — that the shared runtime (internal/codegen/rt) walks,
-// and register.go has the fingerprint, the grammar hash and the
-// registration. Neither file declares a function besides register.go's
-// init.
+// and register.go has the fingerprint and the registration. Neither file
+// declares a function besides register.go's init.
 //
 // Import this package (blank) to link every preset's generated parser into
 // a binary; the product catalog then auto-promotes matching products to
@@ -20,8 +19,9 @@
 //	go generate ./internal/engine/generated
 //
 // CI runs go generate and fails on a dirty diff, so the checked-in parsers
-// cannot drift silently; even if they did, promotion re-hashes the grammar
-// and falls back to the interpreted engine on mismatch.
+// cannot drift silently; even if they did, promotion compares each
+// registered parser with the freshly built product's, field by field, and
+// falls back to the interpreted engine on any difference.
 package generated
 
 //go:generate go run sqlspl/internal/engine/gen

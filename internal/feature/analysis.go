@@ -2,43 +2,12 @@ package feature
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"sort"
 )
 
-// This file provides standard product-line analyses over feature models —
-// core features, dead features — and a sampler for random valid
-// configurations, used by the generative pipeline tests.
-
-// CoreFeatures returns, per diagram, the features selected in *every*
-// product of that diagram: the root, its mandatory And-children, and so on
-// through mandatory chains. Or/Alternative group members are never core
-// (some product omits them), except a group with exactly one child.
-func (m *Model) CoreFeatures(d *Diagram) []string {
-	var out []string
-	var walk func(f *Feature)
-	walk = func(f *Feature) {
-		out = append(out, f.Name)
-		switch f.Group {
-		case And:
-			for _, c := range f.Children {
-				if !c.Optional {
-					walk(c)
-				}
-			}
-		case Or, Alternative:
-			if len(f.Children) == 1 {
-				walk(f.Children[0])
-			}
-		}
-	}
-	if d.Root != nil {
-		walk(d.Root)
-	}
-	sort.Strings(out)
-	return out
-}
+// This file provides the product-line analysis the feature model itself
+// needs: dead features. Sampling and counting valid configurations are the
+// configuration solver's (package configure).
 
 // DeadFeatures returns features that cannot appear in any valid
 // configuration of the model: Solve proves {f} unsatisfiable. This is the
@@ -59,147 +28,4 @@ func (m *Model) DeadFeatures() []string {
 		sort.Strings(m.deadList)
 	})
 	return append([]string(nil), m.deadList...)
-}
-
-// deselectSubtree removes a feature and all its descendants from cfg.
-func deselectSubtree(cfg *Config, f *Feature) {
-	cfg.Deselect(f.Name)
-	for _, c := range f.Children {
-		deselectSubtree(cfg, c)
-	}
-}
-
-// Sample returns a random valid configuration of the model, seeded
-// deterministically. The walk selects each diagram's root with probability
-// rootP (obligatory diagrams can be forced via must), then descends:
-// mandatory children always, optional children with probability 1/2, OR
-// groups pick a random non-empty subset, Alternative groups pick one
-// child. Requires-closure may pull in additional subtrees, whose group
-// obligations are fixed up iteratively. Sample fails only if fix-up does
-// not converge, which indicates a genuinely contradictory model.
-func (m *Model) Sample(seed int64, rootP float64, must ...string) (*Config, error) {
-	rng := rand.New(rand.NewSource(seed))
-	cfg := NewConfig(must...)
-
-	dead := map[string]bool{}
-	for _, name := range m.DeadFeatures() {
-		dead[name] = true
-	}
-	alive := func(fs []*Feature) []*Feature {
-		var out []*Feature
-		for _, f := range fs {
-			if !dead[f.Name] {
-				out = append(out, f)
-			}
-		}
-		return out
-	}
-
-	var descend func(f *Feature)
-	descend = func(f *Feature) {
-		cfg.Select(f.Name)
-		switch f.Group {
-		case And:
-			for _, c := range f.Children {
-				if dead[c.Name] {
-					continue // mandatory dead children fail validation below
-				}
-				if !c.Optional || rng.Intn(2) == 0 {
-					descend(c)
-				}
-			}
-		case Or:
-			kids := alive(f.Children)
-			if len(kids) == 0 {
-				return
-			}
-			picked := false
-			for _, c := range kids {
-				if rng.Intn(2) == 0 {
-					descend(c)
-					picked = true
-				}
-			}
-			if !picked {
-				descend(kids[rng.Intn(len(kids))])
-			}
-		case Alternative:
-			kids := alive(f.Children)
-			if len(kids) == 0 {
-				return
-			}
-			descend(kids[rng.Intn(len(kids))])
-		}
-	}
-
-	for _, d := range m.Diagrams {
-		if cfg.Has(d.Root.Name) || rng.Float64() < rootP {
-			descend(d.Root)
-		}
-	}
-
-	// Ancestors of `must` seeds and requires-targets arrive via closure;
-	// their group obligations then need fixing up.
-	for round := 0; round < 32; round++ {
-		cfg = m.Close(cfg)
-		err := m.Validate(cfg)
-		if err == nil {
-			return cfg, nil
-		}
-		ce, ok := err.(*ConfigError)
-		if !ok {
-			return nil, err
-		}
-		progress := false
-		// Excludes conflicts: drop one side's subtree plus its direct
-		// requirers (which would otherwise re-add it on the next closure).
-		for _, con := range m.Constraints {
-			if con.Kind != Excludes || !cfg.Has(con.A) || !cfg.Has(con.B) {
-				continue
-			}
-			deselectSubtree(cfg, m.Feature(con.A))
-			for _, rc := range m.Constraints {
-				if rc.Kind == Requires && rc.B == con.A && cfg.Has(rc.A) {
-					deselectSubtree(cfg, m.Feature(rc.A))
-				}
-			}
-			progress = true
-		}
-		for _, v := range ce.Violations {
-			f := m.Feature(v.Feature)
-			if f == nil {
-				continue
-			}
-			switch f.Group {
-			case Or:
-				if cfg.Has(f.Name) && countSelected(cfg, f.Children) == 0 && len(f.Children) > 0 {
-					descend(f.Children[rng.Intn(len(f.Children))])
-					progress = true
-				}
-			case Alternative:
-				n := countSelected(cfg, f.Children)
-				switch {
-				case cfg.Has(f.Name) && n == 0 && len(f.Children) > 0:
-					descend(f.Children[rng.Intn(len(f.Children))])
-					progress = true
-				case n > 1:
-					// Deselect all but one, including their subtrees.
-					kept := false
-					for _, c := range f.Children {
-						if cfg.Has(c.Name) {
-							if kept {
-								deselectSubtree(cfg, c)
-								progress = true
-							}
-							kept = true
-						}
-					}
-				}
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("sample did not converge: %v", err)
-		}
-	}
-	return nil, fmt.Errorf("sample fix-up exceeded iteration budget")
 }

@@ -44,29 +44,6 @@ func analysisModel(t *testing.T) *Model {
 	return m
 }
 
-func TestCoreFeatures(t *testing.T) {
-	m := analysisModel(t)
-	core := m.CoreFeatures(m.DiagramOf("root"))
-	has := func(name string) bool {
-		for _, c := range core {
-			if c == name {
-				return true
-			}
-		}
-		return false
-	}
-	for _, want := range []string{"root", "mand1", "mand2", "alt", "solo_group", "only_child"} {
-		if !has(want) {
-			t.Errorf("core missing %s: %v", want, core)
-		}
-	}
-	for _, no := range []string{"opt1", "group", "g1", "a1", "a2"} {
-		if has(no) {
-			t.Errorf("core wrongly includes %s", no)
-		}
-	}
-}
-
 func TestDeadFeatures(t *testing.T) {
 	m := analysisModel(t)
 	dead := m.DeadFeatures()
@@ -145,64 +122,5 @@ func TestDeadFeaturesCatchesGroupDeaths(t *testing.T) {
 	dead := m.DeadFeatures()
 	if len(dead) != 1 || dead[0] != "wants_both" {
 		t.Errorf("dead = %v, want [wants_both]", dead)
-	}
-}
-
-func TestSampleValid(t *testing.T) {
-	m := analysisModel(t)
-	for seed := int64(0); seed < 50; seed++ {
-		cfg, err := m.Sample(seed, 0.7)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := m.Validate(cfg); err != nil {
-			t.Errorf("seed %d: sampled config invalid: %v", seed, err)
-		}
-	}
-}
-
-func TestSampleDeterministic(t *testing.T) {
-	m := analysisModel(t)
-	a, err := m.Sample(7, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Sample(7, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("same seed differs: %v vs %v", a, b)
-	}
-}
-
-func TestSampleMust(t *testing.T) {
-	m := analysisModel(t)
-	for seed := int64(0); seed < 20; seed++ {
-		cfg, err := m.Sample(seed, 0, "needs_g1")
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !cfg.Has("needs_g1") || !cfg.Has("g1") {
-			t.Errorf("seed %d: must-feature or its requirement missing: %v", seed, cfg)
-		}
-		if err := m.Validate(cfg); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-func TestSampleVariety(t *testing.T) {
-	m := analysisModel(t)
-	seen := map[string]bool{}
-	for seed := int64(0); seed < 40; seed++ {
-		cfg, err := m.Sample(seed, 0.7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[cfg.String()] = true
-	}
-	if len(seen) < 5 {
-		t.Errorf("only %d distinct configurations in 40 samples", len(seen))
 	}
 }

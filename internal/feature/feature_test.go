@@ -298,30 +298,6 @@ func TestUnitSequence(t *testing.T) {
 	}
 }
 
-func TestCountProducts(t *testing.T) {
-	// Figure 1's Set Quantifier subtree: optional alternative {ALL, DISTINCT}
-	// → 3 instances of that subtree (absent, ALL, DISTINCT) for a parent
-	// with just this child.
-	d := NewDiagram("d", "",
-		New("root",
-			New("set_quantifier", New("all"), New("distinct")).MarkOptional().GroupAlt(),
-		),
-	)
-	if n := CountProducts(d); n != 3 {
-		t.Errorf("CountProducts = %d, want 3", n)
-	}
-	// Or group of two: 3 non-empty subsets.
-	d = NewDiagram("d", "", New("root", New("a"), New("b")).GroupOr())
-	if n := CountProducts(d); n != 3 {
-		t.Errorf("or-group CountProducts = %d, want 3", n)
-	}
-	// Two independent optionals: 4.
-	d = NewDiagram("d", "", New("root", New("a").MarkOptional(), New("b").MarkOptional()))
-	if n := CountProducts(d); n != 4 {
-		t.Errorf("and-group CountProducts = %d, want 4", n)
-	}
-}
-
 func TestConfigBasics(t *testing.T) {
 	c := NewConfig("b", "a")
 	if c.Len() != 2 || !c.Has("a") || c.Has("z") {

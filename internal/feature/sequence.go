@@ -1,8 +1,6 @@
 package feature
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Sequence resolves the composition sequence for a configuration: the
 // selected features in the order their sub-grammars must be composed
@@ -17,91 +15,99 @@ import (
 // order; a requires cycle among selected features is an error.
 func (m *Model) Sequence(c *Config) ([]string, error) {
 	// Base order: pre-order over diagrams, selected features only.
-	var base []string
-	pos := map[string]int{}
-	for _, d := range m.Diagrams {
-		d.WalkFeatures(func(f *Feature) {
-			if c.Has(f.Name) {
-				pos[f.Name] = len(base)
-				base = append(base, f.Name)
-			}
-		})
-	}
 	// Selected features not in any diagram (unknown) are a Validate error;
-	// ignore them here.
-
-	// Precedence edges. Parent -> child keeps base specifications ahead of
-	// their extensions even when other edges delay the parent.
-	succ := map[string][]string{}
-	indeg := map[string]int{}
-	for _, name := range base {
-		indeg[name] = 0
+	// they are ignored here.
+	base := m.PreOrder(c)
+	pos := make(map[string]int, len(base))
+	for i, name := range base {
+		pos[name] = i
 	}
-	for _, name := range base {
-		f := m.features[name]
-		if f == nil || f.parent == nil {
-			continue
-		}
-		if _, ok := pos[f.parent.Name]; ok {
-			succ[f.parent.Name] = append(succ[f.parent.Name], name)
-			indeg[name]++
+
+	// Precedence edges between base positions. Parent -> child keeps base
+	// specifications ahead of their extensions even when other edges delay
+	// the parent.
+	succ := make([][]int, len(base))
+	indeg := make([]int, len(base))
+	edge := func(from, to int) {
+		succ[from] = append(succ[from], to)
+		indeg[to]++
+	}
+	for i, name := range base {
+		if f := m.features[name]; f != nil && f.parent != nil {
+			if p, ok := pos[f.parent.Name]; ok {
+				edge(p, i)
+			}
 		}
 	}
 	for _, con := range m.Constraints {
 		if con.Kind != Requires {
 			continue
 		}
-		if _, okA := pos[con.A]; !okA {
-			continue
+		a, okA := pos[con.A]
+		b, okB := pos[con.B]
+		if okA && okB {
+			edge(b, a) // B before A
 		}
-		if _, okB := pos[con.B]; !okB {
-			continue
-		}
-		succ[con.B] = append(succ[con.B], con.A) // B before A
-		indeg[con.A]++
 	}
 
-	// Kahn's algorithm with a priority queue keyed by base position, so the
-	// output is the base order whenever constraints allow.
-	ready := make([]string, 0, len(base))
-	for _, name := range base {
-		if indeg[name] == 0 {
-			ready = append(ready, name)
+	// Kahn's algorithm with a min-heap of base positions as the ready
+	// list, so the output is the base order whenever constraints allow.
+	var ready posHeap
+	for i, d := range indeg {
+		if d == 0 {
+			ready = append(ready, i) // ascending, so already a heap
 		}
 	}
-	sortByPos := func(names []string) {
-		for i := 1; i < len(names); i++ {
-			for j := i; j > 0 && pos[names[j]] < pos[names[j-1]]; j-- {
-				names[j], names[j-1] = names[j-1], names[j]
-			}
-		}
-	}
-	sortByPos(ready)
-
 	out := make([]string, 0, len(base))
 	for len(ready) > 0 {
-		name := ready[0]
-		ready = ready[1:]
-		out = append(out, name)
-		for _, next := range succ[name] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
+		i := ready.pop()
+		out = append(out, base[i])
+		for _, next := range succ[i] {
+			if indeg[next]--; indeg[next] == 0 {
+				ready.push(next)
 			}
 		}
-		sortByPos(ready)
 	}
 	if len(out) != len(base) {
 		var stuck []string
-		for name, d := range indeg {
+		for i, d := range indeg {
 			if d > 0 {
-				stuck = append(stuck, name)
+				stuck = append(stuck, base[i])
 			}
 		}
-		sortByPos(stuck)
 		return nil, fmt.Errorf("requires cycle among selected features: %v", stuck)
 	}
 	return out, nil
+}
+
+// posHeap is Sequence's ready list: a min-heap of base positions.
+type posHeap []int
+
+func (h *posHeap) push(i int) {
+	s := append(*h, i)
+	for j := len(s) - 1; j > 0 && s[(j-1)/2] > s[j]; j = (j - 1) / 2 {
+		s[j], s[(j-1)/2] = s[(j-1)/2], s[j]
+	}
+	*h = s
+}
+
+func (h *posHeap) pop() int {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s = s[n], s[:n]
+	for j := 0; ; {
+		c := 2*j + 1
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if c >= n || s[j] <= s[c] {
+			break
+		}
+		s[j], s[c] = s[c], s[j]
+		j = c
+	}
+	*h = s
+	return top
 }
 
 // PreOrder returns the selected features in plain diagram pre-order, without

@@ -164,65 +164,3 @@ func (m *Model) Close(c *Config) *Config {
 	}
 	return out
 }
-
-// CountProducts returns the number of valid feature-instance descriptions
-// of a single diagram, ignoring cross-tree constraints (they couple
-// diagrams and are checked by Validate). It measures the variability each
-// diagram contributes — the quantity the paper's product-line argument
-// rests on.
-//
-// The count assumes the concept (root) is selected.
-func CountProducts(d *Diagram) uint64 {
-	var count func(f *Feature) uint64
-	count = func(f *Feature) uint64 {
-		// Number of ways to configure the subtree rooted at f, given that
-		// f itself is selected.
-		switch f.Group {
-		case And:
-			total := uint64(1)
-			for _, ch := range f.Children {
-				ways := count(ch)
-				if ch.Optional {
-					ways++ // or leave it out
-				}
-				total *= ways
-			}
-			return total
-		case Or:
-			// Any non-empty subset of children, each child configured.
-			return subsetWays(f.Children, count, false)
-		case Alternative:
-			var total uint64
-			for _, ch := range f.Children {
-				total += count(ch)
-			}
-			if total == 0 {
-				return 1
-			}
-			return total
-		}
-		return 1
-	}
-	if d.Root == nil {
-		return 0
-	}
-	return count(d.Root)
-}
-
-// subsetWays counts configurations over non-empty (or any, if allowEmpty)
-// subsets of children: product over chosen children of their ways.
-func subsetWays(children []*Feature, count func(*Feature) uint64, allowEmpty bool) uint64 {
-	if len(children) == 0 {
-		return 1
-	}
-	// Π (ways(ch)+1) counts all subsets including empty; subtract 1 for the
-	// empty subset when it is not allowed.
-	total := uint64(1)
-	for _, ch := range children {
-		total *= count(ch) + 1
-	}
-	if !allowEmpty {
-		total--
-	}
-	return total
-}

@@ -23,9 +23,10 @@
 // its product, inside the singleflight build — before the slot is
 // published, so promotion is atomic: no caller ever observes a product
 // whose engine is still undecided. When a pregenerated parser is
-// registered under the slot's fingerprint and its grammar hash matches the
-// freshly built product, the slot promotes to the generated engine
-// (counted in Stats.Promotions); otherwise the interpreted engine serves.
+// registered under the slot's fingerprint and it is the freshly built
+// product's own parser, table for table, the slot promotes to the
+// generated engine (counted in Stats.Promotions); otherwise the
+// interpreted engine serves.
 // Engine returns the slot's engine; Get keeps returning the raw product
 // for callers that need the composition artifacts themselves.
 //
@@ -68,10 +69,10 @@ func Fingerprint(cfg *feature.Config, opts core.Options) string {
 		io.WriteString(h, name)
 		io.WriteString(h, "\x00")
 	}
-	fmt.Fprintf(h, "|product=%s|start=%s|noclose=%t|lenient=%t|noerase=%t|keepunreach=%t|nopredict=%t|maxtokens=%d",
+	fmt.Fprintf(h, "|product=%s|start=%s|noclose=%t|lenient=%t|noerase=%t|keepunreach=%t|nopredict=%t|maxtokens=%d|maxdiags=%d",
 		opts.Product, opts.Start, opts.NoAutoClose, opts.LenientOrder,
 		opts.NoErasure, opts.KeepUnreachable,
-		opts.Parser.DisablePrediction, opts.Parser.MaxTokens)
+		opts.Parser.DisablePrediction, opts.Parser.MaxTokens, opts.Parser.MaxDiagnostics)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -125,7 +126,8 @@ type Stats struct {
 	// flight (the singleflight path).
 	Shared uint64
 	// Promotions counts builds whose product was promoted to a registered
-	// generated engine (fingerprint and grammar hash both matched).
+	// generated engine (fingerprint matched, and the registered parser is
+	// the product's own).
 	Promotions uint64
 	// Entries is the number of catalog slots: completed products, cached
 	// build failures, and builds still in flight.

@@ -1,11 +1,13 @@
 package product
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"sqlspl/internal/core"
 	"sqlspl/internal/feature"
+	"sqlspl/internal/parser"
 	"sqlspl/internal/sql2003"
 )
 
@@ -81,6 +83,33 @@ func TestGetDistinguishesOptions(t *testing.T) {
 	}
 	if cat.Len() != 2 {
 		t.Errorf("Len = %d, want 2", cat.Len())
+	}
+}
+
+// TestGetHonoursEachDiagnosticCap: two requests that differ only in the
+// diagnostic cap get distinct products, and each product's statement
+// recovery stops at its own cap.
+func TestGetHonoursEachDiagnosticCap(t *testing.T) {
+	cat := newTestCatalog(t)
+	cfg := feature.NewConfig(minimalFeatures...)
+	wide, err := cat.Get(cfg, core.Options{Parser: parser.Options{MaxDiagnostics: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := cat.Get(cfg, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide == capped {
+		t.Fatal("requests with different diagnostic caps share one product")
+	}
+	script := strings.Repeat("SELECT FROM t; ", 40)
+	if n := len(wide.Diagnose(script)); n != 40 {
+		t.Errorf("cap 100: %d diagnostics for 40 failing statements, want 40", n)
+	}
+	// The default cap, plus the TooManyErrors sentinel.
+	if n := len(capped.Diagnose(script)); n != parser.DefaultMaxDiagnostics+1 {
+		t.Errorf("default cap: %d diagnostics, want %d", n, parser.DefaultMaxDiagnostics+1)
 	}
 }
 

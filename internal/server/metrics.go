@@ -121,7 +121,7 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 		func() uint64 { return engine.HotCounters().Diagnoses })
 	reg.CounterFunc("sqlspl_engine_diagnose_fallbacks_total", "Diagnose calls generated engines delegated to the interpreted parser",
 		func() uint64 { return engine.HotCounters().DiagFallbacks })
-	reg.CounterFunc("sqlspl_engine_stale_skips_total", "promotions refused because the registered parser's grammar hash was stale",
+	reg.CounterFunc("sqlspl_engine_stale_skips_total", "promotions refused because the registered parser differs from the built product's",
 		func() uint64 { return engine.HotCounters().StaleSkips })
 
 	// Analysis-pass counters (process-wide, like the engine counters

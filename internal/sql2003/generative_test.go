@@ -4,8 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"sqlspl/internal/configure"
 	"sqlspl/internal/core"
+	"sqlspl/internal/feature"
 )
+
+// sample draws one configuration from a fresh solver sampler seeded with
+// seed: p is the probability of including each diagram must does not
+// force.
+func sample(t *testing.T, sol *configure.Solver, seed int64, p float64, must ...string) *feature.Config {
+	t.Helper()
+	sa, err := sol.NewSampler(seed, p, must...)
+	if err != nil {
+		t.Fatalf("seed %d: sampler: %v", seed, err)
+	}
+	cfg, err := sa.Next()
+	if err != nil {
+		t.Fatalf("seed %d: sample: %v", seed, err)
+	}
+	return cfg
+}
 
 // TestModelHasNoDeadFeatures: every feature of the SQL:2003 model is
 // selectable in some product.
@@ -17,22 +35,20 @@ func TestModelHasNoDeadFeatures(t *testing.T) {
 }
 
 // TestSampledConfigurationsBuild is the generative whole-pipeline test:
-// every random valid configuration of the model must compose into a valid
-// grammar and yield a working parser. It exercises feature combinations no
-// hand-written dialect covers (the product-line promise: all valid
-// products work, not just the curated ones).
+// every solver-sampled valid configuration of the model must compose into
+// a valid grammar and yield a working parser. It exercises feature
+// combinations no hand-written dialect covers (the product-line promise:
+// all valid products work, not just the curated ones).
 func TestSampledConfigurationsBuild(t *testing.T) {
 	m := MustModel()
+	sol := configure.New(m)
 	seeds := int64(60)
 	if testing.Short() {
 		seeds = 10
 	}
 	built := 0
 	for seed := int64(0); seed < seeds; seed++ {
-		cfg, err := m.Sample(seed, 0.35)
-		if err != nil {
-			t.Fatalf("seed %d: sample: %v", seed, err)
-		}
+		cfg := sample(t, sol, seed, 0.35)
 		product, err := core.Build(m, Registry{}, cfg, core.Options{Product: "sampled"})
 		if err != nil {
 			if strings.Contains(err.Error(), "contributes no grammar units") {
@@ -58,6 +74,7 @@ func TestSampledConfigurationsBuild(t *testing.T) {
 // worked-example query core, and checks each accepts the baseline query.
 func TestSampledQueryProducts(t *testing.T) {
 	m := MustModel()
+	sol := configure.New(m)
 	mustHave := []string{
 		"sql_script", "query_statement_f", "query_expression",
 		"query_specification", "select_list", "select_columns", "derived_column",
@@ -69,10 +86,7 @@ func TestSampledQueryProducts(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(100); seed < 100+seeds; seed++ {
-		cfg, err := m.Sample(seed, 0.15, mustHave...)
-		if err != nil {
-			t.Fatalf("seed %d: sample: %v", seed, err)
-		}
+		cfg := sample(t, sol, seed, 0.15, mustHave...)
 		product, err := core.Build(m, Registry{}, cfg, core.Options{Product: "sampled-query"})
 		if err != nil {
 			t.Errorf("seed %d (%d features): %v", seed, cfg.Len(), err)

@@ -3,6 +3,7 @@ package sql2003
 import (
 	"testing"
 
+	"sqlspl/internal/configure"
 	"sqlspl/internal/core"
 	"sqlspl/internal/feature"
 	"sqlspl/internal/sentence"
@@ -320,6 +321,7 @@ func TestStatementClassProducts(t *testing.T) {
 // any counterexample here is a bug in compose, erasure, or the generator.
 func TestFeatureMonotonicity(t *testing.T) {
 	m := MustModel()
+	sol := configure.New(m)
 	queryCore := []string{
 		"sql_script", "query_statement_f", "query_expression",
 		"query_specification", "select_list", "select_columns", "derived_column",
@@ -332,14 +334,8 @@ func TestFeatureMonotonicity(t *testing.T) {
 		seeds = 6
 	}
 	for seed := int64(200); seed < 200+seeds; seed++ {
-		subCfg, err := m.Sample(seed, 0.10, queryCore...)
-		if err != nil {
-			t.Fatalf("seed %d: sample sub: %v", seed, err)
-		}
-		extraCfg, err := m.Sample(seed+1000, 0.10, queryCore...)
-		if err != nil {
-			t.Fatalf("seed %d: sample extra: %v", seed, err)
-		}
+		subCfg := sample(t, sol, seed, 0.10, queryCore...)
+		extraCfg := sample(t, sol, seed+1000, 0.10, queryCore...)
 		superCfg := subCfg.Clone()
 		superCfg.Select(extraCfg.Names()...)
 

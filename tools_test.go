@@ -49,6 +49,37 @@ func TestCLIsRun(t *testing.T) {
 			}
 		}
 	})
+	t.Run("sqlinventory-matches-sqlconfig-count", func(t *testing.T) {
+		t.Parallel()
+		// Both tools report the product count of every diagram, and the
+		// configuration solver is the one counter: they must agree row
+		// by row.
+		counted := map[string]string{}
+		for _, line := range strings.Split(runTool(t, "./cmd/sqlconfig", "-mode", "count"), "\n") {
+			f := strings.Fields(line)
+			if len(f) >= 5 && f[2] == "features" && f[4] == "products" {
+				counted[f[0]] = f[3]
+			}
+		}
+		rows := 0
+		for _, line := range strings.Split(runTool(t, "./cmd/sqlinventory"), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 4 || f[0] == "DIAGRAM" || f[0] == "TOTAL" {
+				continue
+			}
+			want, ok := counted[f[0]]
+			if !ok {
+				continue // a prose line, not a diagram row
+			}
+			rows++
+			if f[3] != want {
+				t.Errorf("%s: sqlinventory counts %s products, sqlconfig -mode count %s", f[0], f[3], want)
+			}
+		}
+		if rows == 0 || rows != len(counted) {
+			t.Errorf("compared %d inventory rows against %d counted diagrams", rows, len(counted))
+		}
+	})
 	t.Run("sqlinventory-diagram", func(t *testing.T) {
 		t.Parallel()
 		out := runTool(t, "./cmd/sqlinventory", "-diagram", "table_expression")
