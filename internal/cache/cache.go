@@ -40,9 +40,9 @@ func KeyOf(space, payload string) Key {
 }
 
 // Stats is a point-in-time snapshot of cache counters. Hits+Misses+Shared
-// equals the number of Get-or-Fill sequences that completed.
+// equals the number of Fill calls that completed.
 type Stats struct {
-	Hits      uint64 // Get answered from a completed entry
+	Hits      uint64 // Fill answered from a completed entry
 	Misses    uint64 // Fill ran the loader
 	Shared    uint64 // waited on another goroutine's in-flight fill
 	Evictions uint64 // entries dropped by the per-shard LRU cap
@@ -64,7 +64,7 @@ type shard struct {
 }
 
 // Cache is a sharded (power-of-two shards, per-shard mutex + LRU),
-// bounded, single-flight memo table. The hit path — Get on a completed
+// bounded, single-flight memo table. The hit path — Fill on a completed
 // entry — performs zero heap allocations. Values are shared between
 // callers and must be treated as immutable.
 type Cache struct {
@@ -90,36 +90,14 @@ func New(capacity int) *Cache {
 	return c
 }
 
-// Get returns the cached value for k. It blocks if another goroutine is
-// still filling the entry (counted as Shared). ok is false when there is
-// no entry — the caller should Fill. A true return with a nil value means
-// the entry's fill panicked; callers fall back to computing uncached.
-func (c *Cache) Get(k Key) (any, bool) {
-	sh := &c.shards[k.Sum&c.mask]
-	sh.mu.Lock()
-	e, ok := sh.m[k]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveFront(e)
-	sh.mu.Unlock()
-	select {
-	case <-e.done:
-		c.hits.Add(1)
-	default:
-		c.shared.Add(1)
-		<-e.done
-	}
-	return e.val, true
-}
-
-// Fill resolves k, running fill at most once across concurrent callers:
-// the first caller inserts an in-flight entry and computes; the rest (and
-// any racing Get) block on it and share the result. fill's result is
-// cached even when it represents a failure — negative caching is the
-// caller's choice of value. If fill panics the entry is removed, waiters
-// see a nil value, and the panic propagates.
+// Fill resolves k: a completed entry answers at once (counted as a Hit,
+// with zero heap allocations), and otherwise fill runs at most once across
+// concurrent callers: the first caller inserts an in-flight entry and
+// computes; the rest block on it (counted as Shared) and share the result.
+// fill's result is cached even when it represents a failure — negative
+// caching is the caller's choice of value. If fill panics the entry is
+// removed, waiters see a nil value (callers fall back to computing
+// uncached), and the panic propagates.
 func (c *Cache) Fill(k Key, fill func() any) any {
 	sh := &c.shards[k.Sum&c.mask]
 	sh.mu.Lock()

@@ -164,14 +164,10 @@ func (s *Solver) CachedComplete(req Request) (*Completion, *Conflict, error) {
 	// canonical spelling of the request; '\x00' cannot appear in feature
 	// names, and the "R:"/"F:" sections keep require/forbid unambiguous.
 	payload := "R:" + strings.Join(req.Require, "\x00") + "\x00F:" + strings.Join(req.Forbid, "\x00")
-	k := cache.KeyOf("complete", payload)
-	v, ok := s.comp.Get(k)
-	if !ok {
-		v = s.comp.Fill(k, func() any {
-			comp, conf, err := s.Complete(req)
-			return completionResult{comp: comp, conf: conf, err: err}
-		})
-	}
+	v := s.comp.Fill(cache.KeyOf("complete", payload), func() any {
+		comp, conf, err := s.Complete(req)
+		return completionResult{comp: comp, conf: conf, err: err}
+	})
 	r, valid := v.(completionResult)
 	if !valid {
 		// A concurrent filler panicked; solve uncached.

@@ -55,17 +55,10 @@ func NewVerdictCache(capacity int) *VerdictCache {
 // statement with concurrent misses coalesced. The hit path performs zero
 // heap allocations.
 func (vc *VerdictCache) Verdict(eng engine.Engine, sql string) *Verdict {
-	k := cache.KeyOf(eng.Info().Fingerprint, sql)
-	if v, ok := vc.c.Get(k); ok {
-		if v == nil {
-			// A concurrent filler panicked between our Get and its cleanup;
-			// compute uncached rather than re-entering the cache.
-			return computeVerdict(eng, sql)
-		}
-		return v.(*Verdict)
-	}
-	v := vc.c.Fill(k, func() any { return computeVerdict(eng, sql) })
+	v := vc.c.Fill(cache.KeyOf(eng.Info().Fingerprint, sql), func() any { return computeVerdict(eng, sql) })
 	if v == nil {
+		// A concurrent filler panicked; compute uncached rather than
+		// re-entering the cache.
 		return computeVerdict(eng, sql)
 	}
 	return v.(*Verdict)

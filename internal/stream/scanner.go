@@ -65,8 +65,8 @@ type Statement struct {
 	Tokens []lexer.Token
 	// Err is the statement's lexical error, positions relative to Text,
 	// when scanning the statement failed; Tokens then holds the tokens
-	// confirmed before the error. Mirrors recovery: the span extends to the
-	// next raw ';' (or end of input) and is not parsed further.
+	// confirmed before the error. The span extends to the next raw ';' (or
+	// end of input) and is not parsed further.
 	Err *lexer.Error
 	// Resynced reports that Err's span was closed by finding a raw ';'
 	// (recovery's "rescanning after the next ';'" case) rather than by end
@@ -78,10 +78,10 @@ type Statement struct {
 // script: its window holds the input from the statement in progress to
 // the end of the last read, which it scans with lexer.ScanPartialFrom a
 // bounded number of tokens at a time, confirming tokens that cannot change
-// with more input and cutting statements with the same Splitter that
-// parser statement-recovery uses. Its token buffer holds the statement in
-// progress and at most one increment of scanned tokens. Not safe for
-// concurrent use.
+// with more input and cutting statements with a Splitter. Its token buffer
+// holds the statement in progress and at most one increment of scanned
+// tokens, and it reads no more at once than an in-memory reader reporting
+// Len holds. Not safe for concurrent use.
 type Scanner struct {
 	lex *lexer.Lexer
 	r   io.Reader
@@ -94,8 +94,9 @@ type Scanner struct {
 	base              int
 	baseLine, baseCol int
 
-	toks  []lexer.Token // confirmed tokens, window-relative positions
-	walk  int           // toks[:walk] already fed to split
+	toks  []lexer.Token   // confirmed tokens, window-relative positions
+	boot  [16]lexer.Token // toks' first backing array: a short script's tokens need no other
+	walk  int             // toks[:walk] already fed to split
 	split Splitter
 
 	// Start of the in-progress statement, window-relative.
@@ -121,13 +122,15 @@ type Scanner struct {
 // NewScanner returns a Scanner reading the script from r and tokenizing
 // with lx (the statement dialect's lexer).
 func NewScanner(lx *lexer.Lexer, r io.Reader, cfg Config) *Scanner {
-	return &Scanner{
+	s := &Scanner{
 		lex: lx, r: r, cfg: cfg,
 		baseLine: 1, baseCol: 1,
 		stmtLine: 1, stmtCol: 1,
 		scanLine: 1, scanCol: 1,
 		resyncHit: -1,
 	}
+	s.toks = s.boot[:0]
+	return s
 }
 
 // Next returns the next statement, or io.EOF when the input is exhausted.
@@ -228,7 +231,7 @@ func (s *Scanner) scanMore() bool {
 		if le.Off < len(s.window) && s.window[le.Off] == ';' {
 			// The offending character is itself a statement separator (a
 			// dialect composed without the SEMICOLON token): the statement
-			// ends right at it, matching recovery.
+			// ends right at it.
 			s.resyncHit = le.Off
 		}
 		s.resyncFrom = le.Resume
@@ -271,7 +274,7 @@ func (s *Scanner) rawBoundary() int {
 	if s.resyncHit >= 0 {
 		return s.resyncHit
 	}
-	return NextRawBoundary(s.window, s.resyncFrom)
+	return nextRawBoundary(s.window, s.resyncFrom)
 }
 
 // yield cuts the current statement at window offset end (whose
@@ -353,6 +356,10 @@ func (s *Scanner) refill() error {
 			ErrStatementTooLarge, s.base, s.cfg.MaxStatement)
 	}
 	want := min(max(len(s.window), readChunk), maxReadChunk)
+	if l, ok := s.r.(interface{ Len() int }); ok {
+		// An in-memory reader (strings.Reader, bytes.Buffer) holds no more.
+		want = min(want, max(l.Len(), 1))
+	}
 	if cap(s.buf) < want {
 		s.buf = make([]byte, want)
 	}

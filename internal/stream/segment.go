@@ -5,10 +5,11 @@
 // token buffer, so peak memory is proportional to the largest single
 // statement and one read, not the script.
 //
-// The statement-boundary rules here are THE segmentation used by the
-// whole system: parser statement recovery (internal/parser/recover.go)
-// walks tokens through the same Splitter, so a streamed script and a
-// whole-script Diagnose agree on where statements start and end.
+// The Scanner is THE segmentation used by the whole system: parser
+// statement recovery (internal/parser/recover.go) cuts a rejected script
+// into statements with a Scanner over the script itself, so a streamed
+// script and a whole-script Diagnose agree on where statements start and
+// end by construction.
 package stream
 
 // Splitter tracks top-level statement boundaries over a token stream.
@@ -42,12 +43,12 @@ func (s *Splitter) Boundary(text string) bool {
 	return false
 }
 
-// NextRawBoundary returns the offset of the first ';' in src at or after
-// from (clamped to 0), or -1. It is the raw-byte resynchronization used
-// after a lexical error, when token-level boundaries are unavailable:
-// recovery and streaming both skip to the next ';' in the raw source and
-// charge everything before it to the failed statement.
-func NextRawBoundary(src string, from int) int {
+// nextRawBoundary returns the offset of the first ';' in src at or after
+// from (clamped to 0), or -1. It is the raw-byte resynchronization after a
+// lexical error, when token-level boundaries are unavailable: the scanner
+// skips to the next ';' in the raw source and charges everything before
+// it to the failed statement.
+func nextRawBoundary(src string, from int) int {
 	if from < 0 {
 		from = 0
 	}
