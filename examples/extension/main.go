@@ -100,15 +100,10 @@ func main() {
 		log.Fatal(err)
 	}
 	selection := feature.NewConfig(append(feats, "limit_clause")...)
-	extended, err := cat.Get(selection, core.Options{Product: "core+limit"})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// An extended selection has no pregenerated parser, so the engine seam
 	// resolves the interpreted backend — extensions work the moment they
 	// compose, no regeneration step required.
-	eng, err := cat.Engine(selection, core.Options{Product: "core+limit"})
+	extended, eng, err := cat.Resolve(selection, core.Options{Product: "core+limit"})
 	if err != nil {
 		log.Fatal(err)
 	}

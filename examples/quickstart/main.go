@@ -65,7 +65,7 @@ func main() {
 	// pregenerated parser, so the catalog resolves the interpreted engine;
 	// the preset dialects promote to generated backends (see the other
 	// examples).
-	eng, err := cat.Engine(selection, core.Options{Product: "worked-example"})
+	_, eng, err := cat.Resolve(selection, core.Options{Product: "worked-example"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package cache provides the sharded, bounded, single-flight result cache
-// that the serving layer hangs hot-path memoization off: statement
+// that every memo in the process runs on: built products and statement
 // verdicts (internal/product) and configuration completions
 // (internal/configure). Keys carry a seeded 64-bit hash of the payload
 // instead of the payload itself, so a cached miss/hit costs a fixed-size
@@ -145,6 +145,26 @@ func (c *Cache) Fill(k Key, fill func() any) any {
 	filled = true
 	close(e.done)
 	return e.val
+}
+
+// Peek returns the value of k's completed entry without filling it. It
+// moves no counter and does not refresh k's recency, so an observer can
+// read the cache without changing what it counts or evicts. A fill still
+// in flight, or one that panicked, reports false.
+func (c *Cache) Peek(k Key) (any, bool) {
+	sh := &c.shards[k.Sum&c.mask]
+	sh.mu.Lock()
+	e, ok := sh.m[k]
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e.val, e.val != nil
+	default:
+		return nil, false
+	}
 }
 
 // Stats snapshots the counters. Entries takes every shard lock briefly.

@@ -125,6 +125,52 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// Peek reads completed entries only, moves no counter and leaves the LRU
+// order alone: a peeked tail entry is still the next one evicted.
+func TestPeek(t *testing.T) {
+	c := New(2 * nShards) // two entries per shard
+	a, b, d := KeyOf("s", "a"), KeyOf("s", "b"), KeyOf("s", "d")
+	for _, k := range []*Key{&b, &d} { // force one shard
+		k.Sum = (k.Sum &^ uint64(nShards-1)) | (a.Sum & uint64(nShards-1))
+	}
+	if _, ok := c.Peek(a); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	c.Fill(a, func() any { return "a" })
+	c.Fill(b, func() any { return "b" })
+	before := c.Stats()
+	if v, ok := c.Peek(a); !ok || v != "a" {
+		t.Fatalf("Peek(a) = %v, %v; want a, true", v, ok)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("Peek moved the counters: %+v -> %+v", before, after)
+	}
+	c.Fill(d, func() any { return "d" })
+	if _, ok := c.Peek(a); ok {
+		t.Fatal("the peeked tail entry survived the next eviction")
+	}
+	if v, ok := c.Peek(b); !ok || v != "b" {
+		t.Fatalf("Peek(b) = %v, %v; want b, true", v, ok)
+	}
+
+	inflight := KeyOf("s", "in flight")
+	entered, release := make(chan struct{}), make(chan struct{})
+	filled := make(chan struct{})
+	go func() {
+		defer close(filled)
+		c.Fill(inflight, func() any { close(entered); <-release; return "done" })
+	}()
+	<-entered
+	if _, ok := c.Peek(inflight); ok {
+		t.Error("Peek reported a fill still in flight")
+	}
+	close(release)
+	<-filled
+	if v, ok := c.Peek(inflight); !ok || v != "done" {
+		t.Errorf("Peek after the fill = %v, %v; want done, true", v, ok)
+	}
+}
+
 // A panicking loader must not poison the key: the entry is removed,
 // waiters observe nil, and a later Fill runs fresh.
 func TestFillPanic(t *testing.T) {

@@ -6,11 +6,17 @@
 // pure function of the feature-instance description and the build options,
 // so identical selections always yield identical products. The catalog
 // exploits that: each build request is keyed by a canonical fingerprint of
-// (feature.Config, core.Options), and every distinct selection is composed
-// exactly once per process. Concurrent requests for the same product share
+// (feature.Config, core.Options), and a selection is composed once while
+// its slot stays resident. Concurrent requests for the same product share
 // one in-flight build (singleflight) instead of racing to duplicate it —
 // the reuse that turns the product line from a library into a serving
 // layer, in the spirit of SpecDB's configuration → generated-variant cache.
+// The slots live in one internal/cache.Cache bounded at catalogCapacity:
+// the least recently used slot goes first, and an evicted selection is
+// rebuilt on its next request into an interchangeable product under the
+// same fingerprint. A build that panics caches nothing: each lookup that
+// was waiting for it builds again, uncached, so the panic reaches every
+// one of them instead of leaving them blocked.
 //
 // Products returned by a catalog are shared: callers must treat the
 // *core.Product — its Grammar, Tokens, Config and Parser — as immutable.
@@ -27,8 +33,8 @@
 // product's own parser, table for table, the slot promotes to the
 // generated engine (counted in Stats.Promotions); otherwise the
 // interpreted engine serves.
-// Engine returns the slot's engine; Get keeps returning the raw product
-// for callers that need the composition artifacts themselves.
+// Resolve returns the product and the slot's engine; Get returns the raw
+// product for callers that need only the composition artifacts.
 //
 // # Pre-fingerprinted selections
 //
@@ -36,9 +42,9 @@
 // more than the cache probe it keys. A caller that resolves one fixed
 // selection over and over (the dialect presets, on every request) builds a
 // Selection once with NewSelection and resolves it with ResolveSelection:
-// one map probe, no copying, sorting, hashing or allocation. Get, Engine,
-// Resolve and Lookup fingerprint their (cfg, opts) arguments on every call
-// and then take the same path.
+// one cache probe, no copying, sorting, hashing or allocation. Get and
+// Resolve fingerprint their (cfg, opts) arguments on every call and then
+// take the same path.
 package product
 
 import (
@@ -49,6 +55,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sqlspl/internal/cache"
 	"sqlspl/internal/core"
 	"sqlspl/internal/engine"
 	"sqlspl/internal/feature"
@@ -77,12 +84,14 @@ func Fingerprint(cfg *feature.Config, opts core.Options) string {
 }
 
 // Selection is a build request fingerprinted once: a feature
-// configuration, its build options and their Fingerprint. Build one with
-// NewSelection; the zero value is not usable.
+// configuration, its build options, their Fingerprint and the catalog
+// key hashed from it. Build one with NewSelection; the zero value is not
+// usable.
 type Selection struct {
 	cfg  *feature.Config
 	opts core.Options
 	fp   string
+	key  cache.Key
 }
 
 // NewSelection fingerprints a build request. It clones cfg, so the
@@ -94,7 +103,8 @@ func NewSelection(cfg *feature.Config, opts core.Options) Selection {
 // selection fingerprints a request without cloning: the per-call wrappers
 // use it, and the catalog clones on a miss before building.
 func selection(cfg *feature.Config, opts core.Options) Selection {
-	return Selection{cfg: cfg, opts: opts, fp: Fingerprint(cfg, opts)}
+	fp := Fingerprint(cfg, opts)
+	return Selection{cfg: cfg, opts: opts, fp: fp, key: cache.KeyOf("", fp)}
 }
 
 // Config returns the selected features. The configuration is shared:
@@ -105,64 +115,57 @@ func (s Selection) Config() *feature.Config { return s.cfg }
 // when the selection was made.
 func (s Selection) Fingerprint() string { return s.fp }
 
-// Stats is a public point-in-time snapshot of catalog state and traffic —
-// the shape the serving layer's /metrics endpoint exposes.
+// Stats is a point-in-time snapshot of catalog traffic and occupancy —
+// the shape the serving layer's /metrics endpoint exposes. The embedded
+// cache.Stats counts lookups and slots: Hits (answered by a completed
+// build), Misses (ran the build), Shared (joined a build in flight),
+// Evictions (slots dropped by the capacity bound) and Entries (resident
+// products, cached failures and builds in flight).
 //
-// Concurrency contract: a snapshot may be taken at any time, from any
-// goroutine, without blocking builders — counters are read individually
-// from atomics and the entry table is scanned under the catalog lock. The
-// three traffic counters are each monotone, but the snapshot is NOT one
-// consistent cut: a Get racing the snapshot may have bumped Hits but not
-// yet appear anywhere else, so derived equalities (for instance
-// Hits+Misses+Shared == requests issued) hold only once the Gets being
-// counted have returned. Entries and InFlight describe the table at the
-// instant of the scan.
+// A snapshot may be taken from any goroutine without blocking builders,
+// but it is not one consistent cut: derived equalities such as
+// Hits+Misses+Shared == lookups made hold once the lookups being counted
+// have returned.
 type Stats struct {
-	// Hits counts requests answered by an already-completed build.
-	Hits uint64
-	// Misses counts requests that performed the build themselves.
-	Misses uint64
-	// Shared counts requests that joined a build another goroutine had in
-	// flight (the singleflight path).
-	Shared uint64
+	cache.Stats
 	// Promotions counts builds whose product was promoted to a registered
 	// generated engine (fingerprint matched, and the registered parser is
 	// the product's own).
 	Promotions uint64
-	// Entries is the number of catalog slots: completed products, cached
-	// build failures, and builds still in flight.
-	Entries int
 	// InFlight is the number of builds currently running.
 	InFlight int
 }
 
-// entry is one catalog slot. done is closed once product/err/eng are final;
-// waiters block on it instead of holding the catalog lock.
-type entry struct {
-	done    chan struct{}
+// slot is one build's outcome, shared by every lookup of its selection.
+type slot struct {
 	product *core.Product
 	eng     engine.Engine
 	err     error
 }
+
+// catalogCapacity bounds the slots a catalog keeps. The cache caps each of
+// its 16 shards at a sixteenth of it, and the per-process hash seed may
+// put every product of a workload in one shard, so a shard must hold all
+// twelve of a workload of six presets and six custom selections: at 4 a
+// shard, that workload evicts in about 0.8% of processes.
+const catalogCapacity = 256
 
 // Catalog is a concurrency-safe build cache over one feature model and
 // unit source. The zero value is not usable; use NewCatalog or Default.
 type Catalog struct {
 	model *feature.Model
 	src   core.UnitSource
+	slots *cache.Cache
 
-	mu      sync.Mutex
-	entries map[string]*entry
-
-	hits, misses, shared atomic.Uint64
-	promotions           atomic.Uint64
+	promotions atomic.Uint64
+	inFlight   atomic.Int64
 }
 
 // NewCatalog returns an empty catalog building against the given model and
 // unit source. The model and source must not change for the catalog's
 // lifetime — cached products would silently go stale.
 func NewCatalog(m *feature.Model, src core.UnitSource) *Catalog {
-	return &Catalog{model: m, src: src, entries: map[string]*entry{}}
+	return &Catalog{model: m, src: src, slots: cache.New(catalogCapacity)}
 }
 
 // Model returns the feature model the catalog builds against. It is
@@ -193,121 +196,72 @@ func Default() *Catalog {
 // The configuration is cloned before building: callers may keep mutating
 // cfg after Get returns without corrupting the cache.
 func (c *Catalog) Get(cfg *feature.Config, opts core.Options) (*core.Product, error) {
-	e := c.resolve(selection(cfg, opts))
-	return e.product, e.err
+	p, _, err := c.Resolve(cfg, opts)
+	return p, err
 }
 
-// Engine returns the serving engine for the selection, building the
-// product on first request exactly like Get. The engine is the generated
-// backend when one is registered for the fingerprint and current, the
-// interpreted backend otherwise.
-func (c *Catalog) Engine(cfg *feature.Config, opts core.Options) (engine.Engine, error) {
-	e := c.resolve(selection(cfg, opts))
-	return e.eng, e.err
-}
-
-// Resolve returns the product AND its serving engine in one catalog
-// lookup — one cache-counter bump instead of the two a Get+Engine pair
-// costs, which keeps the loadgen invariant "hits+misses+shared == catalog
-// resolutions" exact for callers (like /v1/stream) that need both.
+// Resolve returns the product and its serving engine in one catalog
+// lookup: the generated backend when one is registered for the
+// fingerprint and current, the interpreted backend otherwise.
 func (c *Catalog) Resolve(cfg *feature.Config, opts core.Options) (*core.Product, engine.Engine, error) {
 	return c.ResolveSelection(selection(cfg, opts))
 }
 
 // ResolveSelection is Resolve for a pre-fingerprinted selection. On a
-// built slot it costs one map probe and allocates nothing.
+// built slot it costs one cache probe and allocates nothing.
 func (c *Catalog) ResolveSelection(sel Selection) (*core.Product, engine.Engine, error) {
-	e := c.resolve(sel)
-	return e.product, e.eng, e.err
+	v := c.slots.Fill(sel.key, func() any { return c.build(sel) })
+	if v == nil {
+		// The build this lookup joined panicked: build uncached, so the
+		// panic reaches this caller as well.
+		v = c.build(sel)
+	}
+	s := v.(*slot)
+	return s.product, s.eng, s.err
 }
 
-// resolve is the singleflight slot lookup behind every counting lookup.
-func (c *Catalog) resolve(sel Selection) *entry {
-	c.mu.Lock()
-	if e, ok := c.entries[sel.fp]; ok {
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			c.hits.Add(1)
-		default:
-			c.shared.Add(1)
-			<-e.done
-		}
-		return e
-	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[sel.fp] = e
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	e.product, e.err = core.Build(c.model, c.src, sel.cfg.Clone(), sel.opts)
-	if e.err == nil {
-		// Resolve the serving engine inside the singleflight, before the
-		// slot is published: promotion is atomic with the build, so every
-		// waiter observes the same engine decision.
+// build composes the selection and resolves its serving engine. Inside a
+// fill it runs before the slot is published, so promotion is atomic with
+// the build: every waiter observes the same engine decision.
+func (c *Catalog) build(sel Selection) *slot {
+	c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
+	s := &slot{}
+	s.product, s.err = core.Build(c.model, c.src, sel.cfg.Clone(), sel.opts)
+	if s.err == nil {
 		var promoted bool
-		e.eng, promoted = engine.ForProduct(e.product, sel.fp)
+		s.eng, promoted = engine.ForProduct(s.product, sel.fp)
 		if promoted {
 			c.promotions.Add(1)
 		}
 	}
-	close(e.done)
-	return e
+	return s
 }
 
-// Lookup returns the cached product for the selection without building:
-// ok is false if the product is absent or still being built. A cached
-// build failure reports ok=false as well.
-func (c *Catalog) Lookup(cfg *feature.Config, opts core.Options) (*core.Product, bool) {
-	p, _, ok := c.LookupSelection(selection(cfg, opts))
-	return p, ok
-}
-
-// LookupSelection is Lookup for a pre-fingerprinted selection, returning
-// the slot's serving engine too. Like Lookup it never builds and moves no
-// traffic counter, so observers (GET /v1/dialects) can inspect the
-// catalog without skewing hits+misses+shared.
+// LookupSelection returns the selection's product and serving engine
+// without building: ok is false if the product is absent, still being
+// built, or a cached build failure. It moves no traffic counter and does
+// not refresh the slot's recency, so observers (GET /v1/dialects) can
+// inspect the catalog without skewing hits+misses+shared or evictions.
 func (c *Catalog) LookupSelection(sel Selection) (*core.Product, engine.Engine, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[sel.fp]
-	c.mu.Unlock()
+	v, ok := c.slots.Peek(sel.key)
 	if !ok {
 		return nil, nil, false
 	}
-	select {
-	case <-e.done:
-		return e.product, e.eng, e.err == nil
-	default:
-		return nil, nil, false
-	}
+	s := v.(*slot)
+	return s.product, s.eng, s.err == nil
 }
 
-// Len returns the number of catalog entries, including in-flight builds
-// and cached failures.
-func (c *Catalog) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+// Len returns the number of catalog slots, including in-flight builds and
+// cached failures.
+func (c *Catalog) Len() int { return c.slots.Len() }
 
 // Stats returns a snapshot of catalog traffic and occupancy. See the Stats
 // type for the concurrency contract.
 func (c *Catalog) Stats() Stats {
-	s := Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Shared:     c.shared.Load(),
+	return Stats{
+		Stats:      c.slots.Stats(),
 		Promotions: c.promotions.Load(),
+		InFlight:   int(c.inFlight.Load()),
 	}
-	c.mu.Lock()
-	s.Entries = len(c.entries)
-	for _, e := range c.entries {
-		select {
-		case <-e.done:
-		default:
-			s.InFlight++
-		}
-	}
-	c.mu.Unlock()
-	return s
 }

@@ -1,14 +1,19 @@
 package product
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"sqlspl/internal/compose"
 	"sqlspl/internal/core"
 	"sqlspl/internal/feature"
 	"sqlspl/internal/parser"
 	"sqlspl/internal/sql2003"
+	"sqlspl/internal/workload"
 )
 
 // minimalFeatures mirrors the paper's worked example (dialect.Minimal);
@@ -211,16 +216,16 @@ func TestStatsSnapshot(t *testing.T) {
 func TestLookup(t *testing.T) {
 	cat := newTestCatalog(t)
 	cfg := feature.NewConfig(minimalFeatures...)
-	if _, ok := cat.Lookup(cfg, core.Options{}); ok {
-		t.Error("Lookup hit on an empty catalog")
+	if _, _, ok := cat.LookupSelection(NewSelection(cfg, core.Options{})); ok {
+		t.Error("LookupSelection hit on an empty catalog")
 	}
 	want, err := cat.Get(cfg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cat.Lookup(cfg, core.Options{})
+	got, _, ok := cat.LookupSelection(NewSelection(cfg, core.Options{}))
 	if !ok || got != want {
-		t.Error("Lookup missed a cached product")
+		t.Error("LookupSelection missed a cached product")
 	}
 }
 
@@ -259,6 +264,121 @@ func TestSelectionSharesSlot(t *testing.T) {
 	}
 	if before.Misses != 1 || before.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 miss and 1 hit", before)
+	}
+}
+
+// TestCatalogBound: more distinct selections than catalogCapacity keep at
+// most catalogCapacity slots, cached failures included; every lookup is
+// counted once and every slot dropped is counted as an eviction; and a
+// preset resolved afterwards still parses its workload.
+func TestCatalogBound(t *testing.T) {
+	cat := newTestCatalog(t)
+	var lookups uint64
+	for i := 0; i < 2*catalogCapacity; i++ {
+		// An unknown feature fails validation: the slot is a cached failure.
+		cfg := feature.NewConfig(append([]string{fmt.Sprintf("unknown_%d", i)}, minimalFeatures...)...)
+		for j := 0; j < 2; j++ {
+			if _, err := cat.Get(cfg, core.Options{}); err == nil {
+				t.Fatalf("selection %d built", i)
+			}
+			lookups++
+		}
+		s := cat.Stats()
+		if s.Entries > catalogCapacity {
+			t.Fatalf("after %d selections: %d entries, capacity %d", i+1, s.Entries, catalogCapacity)
+		}
+		if s.Misses-s.Evictions != uint64(s.Entries) {
+			t.Fatalf("after %d selections: misses %d - evictions %d != entries %d", i+1, s.Misses, s.Evictions, s.Entries)
+		}
+		if s.Hits+s.Misses+s.Shared != lookups {
+			t.Fatalf("after %d selections: hits+misses+shared = %d, want %d lookups", i+1, s.Hits+s.Misses+s.Shared, lookups)
+		}
+	}
+	if s := cat.Stats(); s.Evictions == 0 {
+		t.Errorf("no eviction after %d selections: %+v", 2*catalogCapacity, s)
+	}
+	_, eng, err := cat.Resolve(feature.NewConfig(minimalFeatures...), core.Options{Product: "minimal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, _ := workload.ForDialect("minimal", 1, 50)
+	for _, q := range queries {
+		if err := eng.Check(q); err != nil {
+			t.Errorf("minimal rejects its workload statement %q: %v", q, err)
+		}
+	}
+}
+
+// panicSource is a unit source whose every Unit call panics once release
+// is closed; the first call closes entered, so a test can tell that a
+// build is in flight and let other resolves join it.
+type panicSource struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *panicSource) Unit(string) (compose.Unit, error) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	panic("unit source failure")
+}
+
+// goResolve runs one Resolve of cfg on its own goroutine and sends on
+// done whether it panicked. Callers bound their wait on done, so a
+// resolve blocked on a wedged slot fails the test instead of hanging it.
+func goResolve(cat *Catalog, cfg *feature.Config, done chan<- bool) {
+	go func() {
+		panicked := true
+		defer func() {
+			recover()
+			done <- panicked
+		}()
+		cat.Resolve(cfg, core.Options{Product: "minimal"})
+		panicked = false
+	}()
+}
+
+// TestPanickingBuildReleasesWaiters: a build that panics must not wedge
+// its slot. The resolves that joined it and the next resolve of the same
+// selection each return or panic, no build is left in flight, and the
+// failed slot is not kept.
+func TestPanickingBuildReleasesWaiters(t *testing.T) {
+	src := &panicSource{entered: make(chan struct{}), release: make(chan struct{})}
+	cat := NewCatalog(sql2003.MustModel(), src)
+	cfg := feature.NewConfig(minimalFeatures...)
+	const joiners = 3
+	done := make(chan bool, joiners+1)
+	goResolve(cat, cfg, done)
+	<-src.entered
+	for i := 0; i < joiners; i++ {
+		goResolve(cat, cfg, done)
+	}
+	for deadline := time.Now().Add(10 * time.Second); cat.Stats().Shared < joiners; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d resolves joined the build", cat.Stats().Shared, joiners)
+		}
+		runtime.Gosched()
+	}
+	close(src.release)
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < joiners+1; i++ {
+		select {
+		case panicked := <-done:
+			if !panicked {
+				t.Error("a resolve of a panicking build returned without panicking")
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d resolves still blocked on the panicked build", joiners+1-i, joiners+1)
+		}
+	}
+	goResolve(cat, cfg, done)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a resolve after the panicked build is still blocked")
+	}
+	if s := cat.Stats(); s.InFlight != 0 || s.Entries != 0 {
+		t.Errorf("stats = %+v, want no build in flight and the failed slot gone", s)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 func testEngine(t *testing.T, product string, features []string) engine.Engine {
 	t.Helper()
-	eng, err := newTestCatalog(t).Engine(feature.NewConfig(features...), core.Options{Product: product})
+	_, eng, err := newTestCatalog(t).Resolve(feature.NewConfig(features...), core.Options{Product: product})
 	if err != nil {
-		t.Fatalf("Engine(%s): %v", product, err)
+		t.Fatalf("Resolve(%s): %v", product, err)
 	}
 	return eng
 }

@@ -1,11 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"sqlspl/internal/compose"
+	"sqlspl/internal/dialect"
+	"sqlspl/internal/product"
+	"sqlspl/internal/sql2003"
 )
 
 // errScript has exactly 3 independent syntax errors across 5 statements
@@ -187,6 +195,56 @@ func TestHandlerPanicMiddleware(t *testing.T) {
 	if status, _, _ = postJSON(t, client, "http://"+addr+"/v1/parse",
 		ParseRequest{Dialect: "minimal", SQL: "SELECT a FROM t"}); status != http.StatusOK {
 		t.Fatalf("post-panic status = %d, want 200", status)
+	}
+}
+
+// panicSource is a unit source whose Unit panics, so any build that gets
+// past validation panics inside the catalog.
+type panicSource struct{}
+
+func (panicSource) Unit(string) (compose.Unit, error) { panic("unit source failure") }
+
+// A build that panics answers 500 and leaves nothing wedged: a second
+// request for the same selection answers 500 as well instead of blocking
+// on the failed build while it holds an admission slot.
+func TestPanickingBuildAnswers500(t *testing.T) {
+	s := freshServer(t, Config{Catalog: product.NewCatalog(sql2003.MustModel(), panicSource{})})
+	feats, err := dialect.Features(dialect.Minimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(ParseRequest{Features: feats, SQL: "SELECT a FROM t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		answered := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/parse", bytes.NewReader(body)))
+			answered <- rec.Code
+		}()
+		select {
+		case code := <-answered:
+			if code != http.StatusInternalServerError {
+				t.Errorf("request %d answered %d, want 500", i, code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d still blocked on the panicked build", i)
+		}
+	}
+	if got := s.m.panics.Value(); got != 2 {
+		t.Errorf("parse_panics_total = %d, want 2", got)
+	}
+	if got := s.m.inflight.Value(); got != 0 {
+		t.Errorf("inflight = %d, want 0", got)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"sqlserved_parse_panics_total 2\n", "sqlserved_inflight 0\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics output lacks %q", want)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 // metrics.go wires the serving subsystem into the telemetry registry:
 // handler-owned counters and histograms, plus scrape-time samplers over
-// the counters other packages own (product catalog, verdict cache,
-// configuration memo, engine seam, analysis pass).
+// the counters other packages own (the three internal/cache users —
+// product catalog, verdict cache, configuration memo — the engine seam
+// and the analysis pass).
 package server
 
 import (
 	"sync"
 
 	"sqlspl/internal/analyze"
+	"sqlspl/internal/cache"
 	"sqlspl/internal/configure"
 	"sqlspl/internal/engine"
 	"sqlspl/internal/product"
@@ -65,43 +67,17 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 		configureLatency:   reg.Histogram("sqlserved_configure_latency_seconds", "per-request solver latency", nil),
 	}
 
-	// Product-cache counters, sampled from the catalog at scrape time. For
-	// a server with a private catalog, hits+misses+shared equals the number
-	// of catalog resolutions — one per warmed preset and per admitted
-	// parse, format, batch or stream request, none for /v1/dialects — which
-	// is how the load generator cross-checks /metrics against its request
-	// count.
-	reg.CounterFunc("sqlspl_product_cache_hits_total", "catalog requests answered from cache",
-		func() uint64 { return cat.Stats().Hits })
-	reg.CounterFunc("sqlspl_product_cache_misses_total", "catalog requests that built the product",
-		func() uint64 { return cat.Stats().Misses })
-	reg.CounterFunc("sqlspl_product_cache_shared_total", "catalog requests coalesced onto an in-flight build",
-		func() uint64 { return cat.Stats().Shared })
-	reg.GaugeFunc("sqlspl_product_cache_entries", "catalog slots (products, failures, in-flight builds)",
-		func() float64 { return float64(cat.Stats().Entries) })
+	// The three caches, sampled at scrape time through one helper. For a
+	// server with a private catalog, product-cache hits+misses+shared
+	// equals the number of catalog resolutions — one per warmed preset and
+	// per admitted parse, format, batch or stream request, none for
+	// /v1/dialects — which is how the load generator cross-checks /metrics
+	// against its request count.
+	cacheSeries(reg, "sqlspl_product_cache", "catalog", func() cache.Stats { return cat.Stats().Stats })
 	reg.GaugeFunc("sqlspl_product_cache_inflight_builds", "builds currently running",
 		func() float64 { return float64(cat.Stats().InFlight) })
-
-	// Hot-statement verdict cache, sampled at scrape time.
-	reg.CounterFunc("sqlspl_verdict_cache_hits_total", "statement verdicts answered from the hot-statement cache",
-		func() uint64 { return vcache.Stats().Hits })
-	reg.CounterFunc("sqlspl_verdict_cache_misses_total", "statement verdicts computed by an engine",
-		func() uint64 { return vcache.Stats().Misses })
-	reg.CounterFunc("sqlspl_verdict_cache_shared_total", "verdict lookups coalesced onto an in-flight computation",
-		func() uint64 { return vcache.Stats().Shared })
-	reg.CounterFunc("sqlspl_verdict_cache_evictions_total", "verdicts evicted by the per-shard LRU",
-		func() uint64 { return vcache.Stats().Evictions })
-	reg.GaugeFunc("sqlspl_verdict_cache_entries", "verdicts currently cached",
-		func() float64 { return float64(vcache.Stats().Entries) })
-
-	// Configuration-completion memo (configure.CachedComplete), behind the
-	// same sharded cache primitive.
-	reg.CounterFunc("sqlspl_configure_cache_hits_total", "completions answered from the solver memo",
-		func() uint64 { return solver.CompletionCacheStats().Hits })
-	reg.CounterFunc("sqlspl_configure_cache_misses_total", "completions solved and memoized",
-		func() uint64 { return solver.CompletionCacheStats().Misses })
-	reg.GaugeFunc("sqlspl_configure_cache_entries", "completion memo entries",
-		func() float64 { return float64(solver.CompletionCacheStats().Entries) })
+	cacheSeries(reg, "sqlspl_verdict_cache", "verdict cache", vcache.Stats)
+	cacheSeries(reg, "sqlspl_configure_cache", "completion memo", solver.CompletionCacheStats)
 
 	// Engine-seam counters: how many builds promoted to a generated
 	// backend, and the engine work each backend served — the one place
@@ -132,6 +108,21 @@ func newMetricsBundle(reg *telemetry.Registry, cat *product.Catalog, vcache *pro
 	reg.CounterFunc("sqlspl_analyze_incomplete_total", "analysed statements flagged incomplete (unmodelled syntax)",
 		func() uint64 { return analyze.HotCounters().Incomplete })
 	return m
+}
+
+// cacheSeries registers one internal/cache user's counters and entry
+// gauge under prefix; what names the cache in the help text.
+func cacheSeries(reg *telemetry.Registry, prefix, what string, stats func() cache.Stats) {
+	reg.CounterFunc(prefix+"_hits_total", what+" lookups answered by a completed entry",
+		func() uint64 { return stats().Hits })
+	reg.CounterFunc(prefix+"_misses_total", what+" lookups that computed the entry",
+		func() uint64 { return stats().Misses })
+	reg.CounterFunc(prefix+"_shared_total", what+" lookups coalesced onto an in-flight computation",
+		func() uint64 { return stats().Shared })
+	reg.CounterFunc(prefix+"_evictions_total", what+" entries evicted by the per-shard LRU",
+		func() uint64 { return stats().Evictions })
+	reg.GaugeFunc(prefix+"_entries", what+" entries resident, in-flight computations included",
+		func() float64 { return float64(stats().Entries) })
 }
 
 // dialect returns the request counter for one dialect label.

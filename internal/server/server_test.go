@@ -778,7 +778,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	defer client.CloseIdleConnections()
 
 	// Warm built the preset before readiness.
-	if _, ok := s.Catalog().Lookup(mustConfig(t, dialect.Minimal), minimalOpts()); !ok {
+	if _, _, ok := s.Catalog().LookupSelection(product.NewSelection(mustConfig(t, dialect.Minimal), minimalOpts())); !ok {
 		t.Error("warm did not populate the catalog before readiness")
 	}
 	resp, err := client.Get("http://" + addr + "/readyz")
